@@ -3,126 +3,27 @@ sector-exact oracle and cavity-QED observables.
 
 The closed form and the oracle share no exponentiation code; every
 propagator the package emits can be cross-checked between the two routes
-on the guard band of the photon truncation.
+on the guard band of the photon truncation.  The package namespace holds
+what a typical run needs; import everything else from its module.
 """
 
-from .fock import (
-    FockSpace,
-    NumberFunction,
-    entire_cos,
-    entire_sinc,
-    ladder,
-    number_fn_term,
-    safe_indices,
-)
-from .linalg import dagger, expm_hermitian, hermitian_defect, kron, op_norm_diff
-from .spins import (
-    AtomRegister,
-    CollectiveSpins,
-    collective,
-    sigma_embed,
-    spin_matrices,
-    su2_check,
-    twice_s3,
-)
-from .model import (
-    BLOCK_LAYOUT,
-    Block,
-    ModelParams,
-    a4_explicit,
-    block_decompose,
-    excitation_operator,
-    hamiltonian,
-    interaction,
-    multiplet_interaction,
-    transform_t,
-)
-from .oracle import (
-    SectorBasis,
-    evolution,
-    exp_in_sectors,
-    interaction_evolution,
-    sector_partition,
-    sectors,
-)
-from .propagator import (
-    SpectralParams,
-    Spin2Amplitudes,
-    exp_spin1_block,
-    exp_spin2_block,
-    full_propagator,
-    interaction_propagator,
-    spectral_params,
-    spin2_amplitudes,
-)
-from .dynamics import (
-    QuantumState,
-    TimeSeries,
-    Trajectory,
-    atomic_inversion,
-    coherent_state,
-    evolve,
-    photon_distribution,
-    product_state,
-    trace_observable,
-    trajectory,
-)
+from .fock import FockSpace
+from .spins import AtomRegister
+from .model import ModelParams
+from .oracle import evolution
+from .propagator import full_propagator
+from .dynamics import coherent_state, product_state, trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FockSpace",
-    "NumberFunction",
-    "entire_cos",
-    "entire_sinc",
-    "ladder",
-    "number_fn_term",
-    "safe_indices",
-    "dagger",
-    "expm_hermitian",
-    "hermitian_defect",
-    "kron",
-    "op_norm_diff",
     "AtomRegister",
-    "CollectiveSpins",
-    "collective",
-    "sigma_embed",
-    "spin_matrices",
-    "su2_check",
-    "twice_s3",
-    "BLOCK_LAYOUT",
-    "Block",
     "ModelParams",
-    "a4_explicit",
-    "block_decompose",
-    "excitation_operator",
-    "hamiltonian",
-    "interaction",
-    "multiplet_interaction",
-    "transform_t",
-    "SectorBasis",
     "evolution",
-    "exp_in_sectors",
-    "interaction_evolution",
-    "sector_partition",
-    "sectors",
-    "SpectralParams",
-    "Spin2Amplitudes",
-    "exp_spin1_block",
-    "exp_spin2_block",
     "full_propagator",
-    "interaction_propagator",
-    "spectral_params",
-    "spin2_amplitudes",
-    "QuantumState",
-    "TimeSeries",
-    "Trajectory",
-    "atomic_inversion",
     "coherent_state",
-    "evolve",
-    "photon_distribution",
     "product_state",
-    "trace_observable",
     "trajectory",
     "__version__",
 ]

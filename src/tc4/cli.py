@@ -9,6 +9,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,15 +57,32 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
+def _bounded(kind: type, low: float = -math.inf):
+    """Argument type: ``kind(text)``, refused unless finite and at least ``low``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            bound = "finite" if low == -math.inf else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its parse errors
+    return parse
+
+
+_FINITE = _bounded(float)
+
+
 def _common_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--atoms", type=int, default=4, choices=range(1, 5), help="register size")
     sub.add_argument("--cutoff", type=int, default=32, help="photon numbers retained")
     sub.add_argument("--guard", type=int, default=6, help="guard band width")
-    sub.add_argument("--omega", type=float, default=1.0, help="mode frequency")
+    sub.add_argument("--omega", type=_FINITE, default=1.0, help="mode frequency")
     sub.add_argument(
-        "--delta", type=float, default=None, help="atomic splitting (default: equal to omega)"
+        "--delta", type=_FINITE, default=None, help="atomic splitting (default: equal to omega)"
     )
-    sub.add_argument("--g", type=float, default=1.0, help="coupling strength")
+    sub.add_argument("--g", type=_FINITE, default=1.0, help="coupling strength")
     sub.add_argument(
         "--method",
         choices=("closed", "oracle", "both"),
@@ -282,25 +300,27 @@ def main(argv: list[str] | None = None) -> int:
 
     build = commands.add_parser("build", help="write a propagator matrix to a file")
     _common_arguments(build)
-    build.add_argument("--t", type=float, default=1.0, help="evolution time")
+    build.add_argument("--t", type=_FINITE, default=1.0, help="evolution time")
 
     ev = commands.add_parser("evolve", help="evolve a state and tabulate observables")
     _common_arguments(ev)
-    ev.add_argument("--t", type=float, default=None, help="single evolution time")
-    ev.add_argument("--t-max", type=float, default=10.0, help="end of the time grid")
-    ev.add_argument("--t-steps", type=int, default=201, help="points on the time grid")
+    ev.add_argument("--t", type=_FINITE, default=None, help="single evolution time")
+    ev.add_argument("--t-max", type=_FINITE, default=10.0, help="end of the time grid")
+    ev.add_argument("--t-steps", type=_bounded(int, 1), default=201, help="points on the time grid")
     ev.add_argument(
         "--state", default="vacuum", help="field state: vacuum, coherent:A, basis:K, file:PATH"
     )
     ev.add_argument(
         "--atomic", default="all-up", help="register state: all-up, all-down, or 0/1 string"
     )
-    ev.add_argument("--photon-cols", type=int, default=8, help="photon probabilities to tabulate")
+    ev.add_argument(
+        "--photon-cols", type=_bounded(int, 0), default=8, help="photon probabilities to tabulate"
+    )
 
     ver = commands.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--cutoff", type=int, default=40)
     ver.add_argument("--guard", type=int, default=6)
-    ver.add_argument("--samples", type=int, default=5)
+    ver.add_argument("--samples", type=_bounded(int, 1), default=5)
     ver.add_argument("--seed", type=int, default=1234)
     ver.add_argument("--tol-override", type=float, default=None)
 

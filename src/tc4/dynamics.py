@@ -22,7 +22,6 @@ from .spins import AtomRegister, collective, twice_s3
 
 __all__ = [
     "QuantumState",
-    "TimeSeries",
     "Trajectory",
     "coherent_state",
     "product_state",
@@ -30,7 +29,6 @@ __all__ = [
     "atomic_inversion",
     "photon_distribution",
     "trajectory",
-    "trace_observable",
 ]
 
 
@@ -60,14 +58,6 @@ class QuantumState:
     @property
     def photon_dim(self) -> int:
         return len(self.amplitudes) // self.levels
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """One scalar observable sampled on a time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -195,13 +185,3 @@ def trajectory(
         photon[k] = photon_distribution(st)
     return Trajectory(times=times, inversion=inversion, photon=photon)
 
-
-def trace_observable(
-    p: ModelParams,
-    initial: QuantumState,
-    times: np.ndarray,
-    method: str = "closed",
-) -> TimeSeries:
-    """Atomic inversion sampled along a trajectory."""
-    traj = trajectory(p, initial, times, method=method)
-    return TimeSeries(times=traj.times, values=traj.inversion)

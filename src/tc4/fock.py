@@ -117,10 +117,8 @@ def number_fn_term(
     """
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if abs(ladder_power) > 4:
-        raise ValueError(f"|ladder_power| must be at most 4, got {ladder_power}")
-    if ladder_power < 0:
-        raise ValueError(f"ladder_power must be nonnegative, got {ladder_power}")
+    if not 0 <= ladder_power <= 4:
+        raise ValueError(f"ladder_power must be nonnegative and at most 4, got {ladder_power}")
     m = space.cutoff
     diag = np.diag([complex(f(j + shift)) for j in range(m)])
     if side == "diagonal":

@@ -10,17 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "dagger",
     "hermitian_defect",
-    "kron",
     "expm_hermitian",
     "op_norm_diff",
 ]
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -29,23 +22,13 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the coarse index.
-
-    Row ``i*cols(b) + j`` of the result addresses component ``(i, j)``,
-    so a composite system ordered "register before mode" is built as
-    ``kron(register_op, mode_op)``.
-    """
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def expm_hermitian(h: np.ndarray, scale: complex = 1.0, tol: float = 1e-12) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """Exponential ``exp(scale * h)`` of a Hermitian matrix via eigendecomposition.
 
     Parameters
     ----------
     h : array
-        Hermitian matrix.  Rejected if ``max|h - h^dag|`` exceeds ``tol``.
+        Hermitian matrix.  Rejected if ``max|h - h^dag|`` exceeds 1e-12.
     scale : complex
         Multiplier applied to the eigenvalues before exponentiation,
         e.g. ``-1j * t`` for unitary time evolution.
@@ -59,9 +42,9 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0, tol: float = 1e-12) -> n
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     defect = hermitian_defect(h)
-    if defect > tol:
+    if defect > 1e-12:
         raise ValueError(
-            f"generator is not Hermitian: max|h - h^dag| = {defect:.3e} exceeds {tol:.1e}"
+            f"generator is not Hermitian: max|h - h^dag| = {defect:.3e} exceeds 1.0e-12"
         )
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, ladder
-from .linalg import kron
 from .spins import AtomRegister, collective, spin_matrices
 
 __all__ = [
@@ -28,6 +27,7 @@ __all__ = [
     "transform_t",
     "Block",
     "BLOCK_LAYOUT",
+    "block_leakage",
     "block_decompose",
     "multiplet_interaction",
 ]
@@ -65,7 +65,7 @@ def interaction(reg: AtomRegister, space: FockSpace) -> np.ndarray:
     """Excitation-swapping coupling ``S+ x a + S- x a_dag``."""
     spins = collective(reg)
     a, a_dag, _ = ladder(space)
-    return kron(spins.plus, a) + kron(spins.minus, a_dag)
+    return np.kron(spins.plus, a) + np.kron(spins.minus, a_dag)
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -76,9 +76,9 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
     ident_reg = np.eye(reg.levels, dtype=complex)
     ident_mode = np.eye(p.space.cutoff, dtype=complex)
     return (
-        p.omega * kron(ident_reg, n_op)
-        + p.delta * kron(spins.three, ident_mode)
-        + p.g * (kron(spins.plus, a) + kron(spins.minus, a_dag))
+        p.omega * np.kron(ident_reg, n_op)
+        + p.delta * np.kron(spins.three, ident_mode)
+        + p.g * (np.kron(spins.plus, a) + np.kron(spins.minus, a_dag))
     )
 
 
@@ -91,7 +91,7 @@ def excitation_operator(reg: AtomRegister, space: FockSpace) -> np.ndarray:
     """
     spins = collective(reg)
     _, _, n_op = ladder(space)
-    return kron(spins.three, np.eye(space.cutoff, dtype=complex)) + kron(
+    return np.kron(spins.three, np.eye(space.cutoff, dtype=complex)) + np.kron(
         np.eye(reg.levels, dtype=complex), n_op
     )
 
@@ -208,23 +208,35 @@ def multiplet_interaction(two_j: int, space: FockSpace) -> np.ndarray:
     """
     plus, minus, _ = spin_matrices(two_j)
     a, a_dag, _ = ladder(space)
-    return kron(plus, a) + kron(minus, a_dag)
+    return np.kron(plus, a) + np.kron(minus, a_dag)
 
 
-def block_decompose(
-    op: np.ndarray,
-    t_mat: np.ndarray,
-    space: FockSpace,
-    layout: tuple[Block, ...] = BLOCK_LAYOUT,
-    tol: float = 1e-12,
-) -> list[np.ndarray]:
+def block_leakage(
+    op: np.ndarray, t_mat: np.ndarray, space: FockSpace
+) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate a register-major operator into the invariant-block basis.
 
-    Applies ``(T x 1)^dag op (T x 1)`` and slices out the blocks named by
-    ``layout``.  Any entry outside the declared blocks larger than ``tol``
-    is an error, reported with its position; that check is what certifies
-    the layout, so it is never skipped.
+    Returns ``(T x 1)^dag op (T x 1)`` and the magnitudes of its entries
+    outside the blocks of ``BLOCK_LAYOUT`` (zero inside them).
     """
+    m = space.cutoff
+    big = np.kron(t_mat, np.eye(m))
+    moved = big.T @ op @ big
+    inside = np.zeros(moved.shape, dtype=bool)
+    for blk in BLOCK_LAYOUT:
+        sl = slice(blk.start * m, blk.stop * m)
+        inside[sl, sl] = True
+    return moved, np.abs(np.where(inside, 0.0, moved))
+
+
+def block_decompose(op: np.ndarray, t_mat: np.ndarray, space: FockSpace) -> list[np.ndarray]:
+    """Conjugate with ``block_leakage`` and slice out the blocks of ``BLOCK_LAYOUT``.
+
+    Any entry outside the declared blocks larger than ``tol = 1e-12`` is an
+    error, reported with its position; that check is what certifies the
+    layout, so it is never skipped.
+    """
+    tol = 1e-12
     m = space.cutoff
     dim = t_mat.shape[0] * m
     if op.shape != (dim, dim):
@@ -232,17 +244,11 @@ def block_decompose(
     ortho = float(np.abs(t_mat.T @ t_mat - np.eye(t_mat.shape[0])).max())
     if ortho > tol:
         raise ValueError(f"basis change is not orthogonal: max|T^T T - 1| = {ortho:.3e}")
-    big = kron(t_mat, np.eye(m))
-    moved = big.T @ op @ big
-    inside = np.zeros(moved.shape, dtype=bool)
-    for blk in layout:
-        sl = slice(blk.start * m, blk.stop * m)
-        inside[sl, sl] = True
-    leak = np.abs(np.where(inside, 0.0, moved))
+    moved, leak = block_leakage(op, t_mat, space)
     worst = float(leak.max())
     if worst > tol:
         row, col = np.unravel_index(int(leak.argmax()), leak.shape)
         raise ValueError(
             f"off-block leakage {worst:.3e} at entry ({row}, {col}) exceeds {tol:.1e}"
         )
-    return [moved[blk.start * m : blk.stop * m, blk.start * m : blk.stop * m] for blk in layout]
+    return [moved[blk.start * m : blk.stop * m, blk.start * m : blk.stop * m] for blk in BLOCK_LAYOUT]

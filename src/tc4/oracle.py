@@ -69,16 +69,11 @@ def sectors(reg: AtomRegister, space: FockSpace) -> list[SectorBasis]:
     return sector_partition(twice_s3(reg), space)
 
 
-def exp_in_sectors(
-    op: np.ndarray,
-    sector_list: list[SectorBasis],
-    scale: complex,
-    leak_tol: float = 1e-12,
-) -> np.ndarray:
+def exp_in_sectors(op: np.ndarray, sector_list: list[SectorBasis], scale: complex) -> np.ndarray:
     """Exponential ``exp(scale * op)`` of a sector-block-diagonal operator.
 
     Every entry of ``op`` connecting different sectors must vanish; a
-    violation above ``leak_tol`` is reported with its index pair rather
+    violation above 1e-12 is reported with its index pair rather
     than silently projected away.  Each sector block is exponentiated
     exactly by Hermitian eigendecomposition.
     """
@@ -88,11 +83,11 @@ def exp_in_sectors(
         keys[sec.indices] = sec.key
     leak = np.abs(np.where(keys[:, None] != keys[None, :], op, 0.0))
     worst = float(leak.max())
-    if worst > leak_tol:
+    if worst > 1e-12:
         row, col = np.unravel_index(int(leak.argmax()), leak.shape)
         raise ValueError(
             f"operator leaks between sectors: |op[{row}, {col}]| = {worst:.3e} "
-            f"exceeds {leak_tol:.1e}"
+            "exceeds 1.0e-12"
         )
     out = np.zeros((dim, dim), dtype=complex)
     for sec in sector_list:
@@ -106,16 +101,7 @@ def interaction_evolution(t: float, g: float, reg: AtomRegister, space: FockSpac
     return exp_in_sectors(interaction(reg, space), sectors(reg, space), -1j * t * g)
 
 
-def evolution(t: float, p: ModelParams, method: str = "sectors") -> np.ndarray:
-    """Reference propagator ``exp(-i t H)`` for any detuning.
-
-    ``method="sectors"`` exponentiates per excitation sector;
-    ``method="dense"`` diagonalizes the whole composite at once.  The two
-    agree on the guard band and exist so each can check the other.
-    """
-    h = hamiltonian(p)
-    if method == "dense":
-        return expm_hermitian(h, -1j * t)
-    if method != "sectors":
-        raise ValueError(f"method must be 'sectors' or 'dense', got {method!r}")
-    return exp_in_sectors(h, sectors(p.register, p.space), -1j * t)
+def evolution(t: float, p: ModelParams) -> np.ndarray:
+    """Reference propagator ``exp(-i t H)`` for any detuning, exponentiated
+    per excitation sector."""
+    return exp_in_sectors(hamiltonian(p), sectors(p.register, p.space), -1j * t)

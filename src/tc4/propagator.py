@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, NumberFunction, entire_cos, entire_sinc, number_fn_term
-from .linalg import kron
 from .model import BLOCK_LAYOUT, ModelParams, multiplet_interaction, transform_t
 from .oracle import exp_in_sectors, interaction_evolution, sector_partition
 from .spins import twice_s3
@@ -256,7 +255,7 @@ def interaction_propagator(
             core[sl, sl] = eb1
         elif blk.kind == "spin2":
             core[sl, sl] = eb2
-    big = kron(transform_t(), np.eye(m))
+    big = np.kron(transform_t(), np.eye(m))
     return big @ core @ big.T
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-
 __all__ = [
     "SIGMA_PLUS",
     "SIGMA_MINUS",
@@ -71,7 +69,7 @@ def sigma_embed(reg: AtomRegister, which: str, atom: int) -> np.ndarray:
         raise ValueError(f"atom index {atom} outside register of size {reg.n}")
     out = np.eye(1, dtype=complex)
     for site in range(1, reg.n + 1):
-        out = kron(out, _PAULI[which] if site == atom else _ID2)
+        out = np.kron(out, _PAULI[which] if site == atom else _ID2)
     return out
 
 

@@ -1,9 +1,11 @@
 """Self-contained invariant suite behind the ``verify`` CLI command.
 
-Each check reports a residual against a fixed tolerance.  Two checks are
-expected failures: they evaluate the misprinted amplitude forms kept
-behind ``printed=True`` and pass only when the residual stays *above* a
-floor, demonstrating that the misprints are real (see CORRECTIONS.md).
+Each ``*_residuals`` function measures a group of invariants on explicit
+inputs and returns the residuals keyed by check name.  ``run_checks`` and
+the acceptance tests both call them; each applies its own tolerances.  Two
+checks are expected failures: they evaluate the misprinted amplitude forms
+kept behind ``printed=True`` and pass only when the residual stays *above*
+a floor, demonstrating that the misprints are real (see CORRECTIONS.md).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .model import (
     ModelParams,
     a4_explicit,
     block_decompose,
+    block_leakage,
     excitation_operator,
     hamiltonian,
     interaction,
@@ -34,9 +37,28 @@ from .propagator import (
     spin2_amplitudes,
 )
 from .spins import AtomRegister, collective, su2_check
-from .dynamics import coherent_state, product_state, trajectory
+from .dynamics import QuantumState, coherent_state, product_state, trajectory
 
-__all__ = ["VerifyConfig", "CheckResult", "run_checks", "format_result"]
+__all__ = [
+    "CHECKS",
+    "VerifyConfig",
+    "CheckResult",
+    "run_checks",
+    "format_result",
+    "draw",
+    "algebra_residuals",
+    "block_residuals",
+    "spin2_block_residuals",
+    "interaction_residuals",
+    "pinned_scalar_residuals",
+    "vacuum_sector_residuals",
+    "resonant_residuals",
+    "trajectory_residuals",
+]
+
+REG4 = AtomRegister(4)
+Draws = list[tuple[float, float]]
+Residuals = dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -52,8 +74,6 @@ class VerifyConfig:
     guard: int = 6
     samples: int = 5
     seed: int = 1234
-    omega: float = 1.0
-    g: float = 1.0
     tol_override: float | None = None
 
 
@@ -77,200 +97,209 @@ def format_result(r: CheckResult) -> str:
     return f"{r.name} residual={r.residual:.3e} tol={r.tol:.1e}{floor} {status}"
 
 
-def _draw(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+# (name, tolerance, floor) of every check in report order; see CheckResult.passed.
+CHECKS: tuple[tuple[str, float, bool], ...] = (
+    *((f"su2_algebra_n{n}", 0.0, False) for n in range(1, 5)),
+    ("transform_orthogonal", 1e-14, False),
+    ("explicit_pattern_match", 0.0, False),
+    ("block_leakage", 1e-12, False),
+    ("block_patterns", 1e-12, False),
+    ("spin2_closed_vs_oracle", 1e-9, False),
+    ("spin2_checkerboard", 0.0, False),
+    ("interaction_closed_vs_oracle", 1e-9, False),
+    ("interaction_unitary", 1e-10, False),
+    ("interaction_group_law", 1e-9, False),
+    ("excitation_conserved", 1e-10, False),
+    ("pinned_scalar_values", 1e-14, False),
+    ("vacuum_sector_cosine", 1e-12, False),
+    ("vacuum_sector_corrected", 1e-9, False),
+    ("printed_pairing_expected_fail", 0.1, True),
+    ("printed_survival_expected_fail", 0.1, True),
+    ("schrodinger_residual", 1e-6, False),
+    ("resonant_factorization", 1e-9, False),
+    ("trajectory_cross_method", 1e-9, False),
+    ("trajectory_free_constant", 1e-12, False),
+)
+
+
+def draw(rng: np.random.Generator, n: int) -> Draws:
+    """``n`` pairs ``(t, g)`` with ``t`` uniform on [0, 5) and ``g`` on [0, 2)."""
     return [(float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2.0))) for _ in range(n)]
 
 
-def run_checks(cfg: VerifyConfig) -> list[CheckResult]:
-    """Run the whole invariant suite and return one result per check."""
-    rng = np.random.default_rng(cfg.seed)
-    space = FockSpace(cfg.cutoff, cfg.guard)
-    results: list[CheckResult] = []
-
-    def check(name: str, residual: float, tol: float, at_least: bool = False) -> None:
-        if cfg.tol_override is not None:
-            tol = cfg.tol_override
-        results.append(
-            CheckResult(name=name, residual=float(residual), tol=tol, expect_at_least=at_least)
-        )
-
-    # Collective operators close the angular-momentum algebra exactly.
-    for n in range(1, 5):
-        check(f"su2_algebra_n{n}", max(su2_check(collective(AtomRegister(n)))), 0.0)
-
-    # The constant basis change is orthogonal.
+def algebra_residuals() -> Residuals:
+    """Collective operators of one to four atoms close the angular-momentum
+    algebra exactly, and the constant basis change is orthogonal."""
+    out = {f"su2_algebra_n{n}": max(su2_check(collective(AtomRegister(n)))) for n in range(1, 5)}
     t_mat = transform_t()
-    check(
-        "transform_orthogonal",
-        float(np.abs(t_mat.T @ t_mat - np.eye(16)).max()),
-        1e-14,
-    )
+    out["transform_orthogonal"] = float(np.abs(t_mat.T @ t_mat - np.eye(16)).max())
+    return out
 
-    # Hand-written entry pattern equals the constructed interaction, exactly.
-    small = FockSpace(16, cfg.guard)
-    reg4 = AtomRegister(4)
-    check(
-        "explicit_pattern_match",
-        op_norm_diff(interaction(reg4, small), a4_explicit(small)),
-        0.0,
-    )
 
-    # Block reduction: no leakage outside the declared blocks, and each
-    # block equals its irreducible reference coupling.
-    a4 = interaction(reg4, small)
-    big = np.kron(t_mat, np.eye(small.cutoff))
-    moved = big.T @ a4 @ big
-    inside = np.zeros(moved.shape, dtype=bool)
-    for blk in BLOCK_LAYOUT:
-        sl = slice(blk.start * small.cutoff, blk.stop * small.cutoff)
-        inside[sl, sl] = True
-    check("block_leakage", float(np.abs(np.where(inside, 0.0, moved)).max()), 1e-12)
-    blocks = block_decompose(a4, t_mat, small)
+def block_residuals(space: FockSpace) -> Residuals:
+    """Structure of the four-atom interaction: its hand-written entry pattern,
+    the leakage outside the declared blocks after the basis change, and the
+    worst deviation of a block from its irreducible reference coupling."""
+    a4 = interaction(REG4, space)
+    t_mat = transform_t()
+    _, leak = block_leakage(a4, t_mat, space)
+    m = space.cutoff
     refs = {
-        "zero": np.zeros((small.cutoff, small.cutoff), dtype=complex),
-        "spin1": multiplet_interaction(2, small),
-        "spin2": multiplet_interaction(4, small),
+        "zero": np.zeros((m, m), dtype=complex),
+        "spin1": multiplet_interaction(2, space),
+        "spin2": multiplet_interaction(4, space),
     }
-    worst = max(
-        op_norm_diff(blk, refs[layout.kind]) for blk, layout in zip(blocks, BLOCK_LAYOUT)
-    )
-    check("block_patterns", worst, 1e-12)
+    blocks = block_decompose(a4, t_mat, space)
+    return {
+        "explicit_pattern_match": op_norm_diff(a4, a4_explicit(space)),
+        "block_leakage": float(leak.max()),
+        "block_patterns": max(
+            op_norm_diff(blk, refs[layout.kind]) for blk, layout in zip(blocks, BLOCK_LAYOUT)
+        ),
+    }
 
-    # Closed-form spin-2 exponential against its sector oracle, and the
-    # exact real/imaginary checkerboard of the block.
-    draws = _draw(rng, cfg.samples)
+
+def spin2_block_residuals(space: FockSpace, draws: Draws) -> Residuals:
+    """Closed-form spin-2 exponential against its sector oracle on the guard
+    band, and the largest entry off its exact real/imaginary checkerboard."""
     gen2 = multiplet_interaction(4, space)
     secs2 = oracle.sector_partition(np.arange(4, -5, -2), space)
     safe5 = safe_indices(space, 5)
-    worst = 0.0
-    board = 0.0
-    m_dim = space.cutoff
-    parity = np.add.outer(np.arange(5), np.arange(5)) % 2
+    m = space.cutoff
+    even = (np.add.outer(np.arange(5), np.arange(5)) % 2 == 0)[:, None, :, None]
+    worst = board = 0.0
     for t, g in draws:
         closed = exp_spin2_block(t, g, space)
         ref = oracle.exp_in_sectors(gen2, secs2, -1j * t * g)
         worst = max(worst, op_norm_diff(closed, ref, safe5))
-        for r in range(5):
-            for c in range(5):
-                sub = closed[r * m_dim : (r + 1) * m_dim, c * m_dim : (c + 1) * m_dim]
-                part = sub.imag if parity[r, c] == 0 else sub.real
-                board = max(board, float(np.abs(part).max()))
-    check("spin2_closed_vs_oracle", worst, 1e-9)
-    check("spin2_checkerboard", board, 0.0)
+        grid = closed.reshape(5, m, 5, m)
+        board = max(board, float(np.abs(np.where(even, grid.imag, grid.real)).max()))
+    return {"spin2_closed_vs_oracle": worst, "spin2_checkerboard": board}
 
-    # Full four-atom interaction propagator against the sector oracle,
-    # plus unitarity, the one-parameter group law, and conservation of the
-    # excitation number, all on the guard band.
+
+def interaction_residuals(space: FockSpace, draws: Draws) -> Residuals:
+    """Four-atom interaction propagator against the sector oracle, plus
+    unitarity, the one-parameter group law and conservation of the
+    excitation number, all on the guard band."""
     safe16 = safe_indices(space, 16)
-    excite = excitation_operator(reg4, space)
+    excite = excitation_operator(REG4, space)
     ident = np.eye(16 * space.cutoff, dtype=complex)
     w_oracle = w_unit = w_group = w_excite = 0.0
     for t, g in draws:
         u = interaction_propagator(t, g, space)
-        ref = oracle.interaction_evolution(t, g, reg4, space)
+        ref = oracle.interaction_evolution(t, g, REG4, space)
         w_oracle = max(w_oracle, op_norm_diff(u, ref, safe16))
         w_unit = max(w_unit, op_norm_diff(u @ u.conj().T, ident, safe16))
         half = interaction_propagator(t / 2.0, g, space)
         w_group = max(w_group, op_norm_diff(half @ half, u, safe16))
         w_excite = max(w_excite, op_norm_diff(u @ excite, excite @ u, safe16))
-    check("interaction_closed_vs_oracle", w_oracle, 1e-9)
-    check("interaction_unitary", w_unit, 1e-10)
-    check("interaction_group_law", w_group, 1e-9)
-    check("excitation_conserved", w_excite, 1e-10)
+    return {
+        "interaction_closed_vs_oracle": w_oracle,
+        "interaction_unitary": w_unit,
+        "interaction_group_law": w_group,
+        "excitation_conserved": w_excite,
+    }
 
-    # Scalar amplitude values forced by the structure of the block: the
-    # bottom level cannot leave an empty cavity, the top level cannot
-    # absorb from it.
+
+def pinned_scalar_residuals(draws: Draws) -> Residuals:
+    """Amplitude values forced by the structure of the block: the bottom
+    level cannot leave an empty cavity, the top level cannot absorb from it."""
     worst = 0.0
-    for t, g in _draw(rng, 10):
+    for t, g in draws:
         amp_lo = spin2_amplitudes(t, g, -2)
         amp_hi = spin2_amplitudes(t, g, 1)
         worst = max(worst, abs(amp_lo.stay_mm - 1.0), abs(amp_hi.stay_pp - 1.0))
-    check("pinned_scalar_values", worst, 1e-14)
+    return {"pinned_scalar_values": worst}
 
-    # Lowest two-dimensional sector: survival follows a plain cosine and
-    # the corrected one-photon amplitude a plain sine.
-    ix2 = [3 * space.cutoff, 4 * space.cutoff + 1]
+
+def vacuum_sector_residuals(space: FockSpace, draws: Draws) -> Residuals:
+    """Lowest sectors of the spin-2 block.  In the two-dimensional one the
+    survival follows a plain cosine and the corrected one-photon amplitude a
+    plain sine.  The misprinted forms must miss their exactly solvable
+    sectors at ``t = g = 1``, where the deviation is of order one: the
+    lowest pair, and the survival at the top of the three-dimensional one."""
+    m = space.cutoff
+    ix2 = [3 * m, 4 * m + 1]
+
+    def off_pair(u: np.ndarray, x: float) -> float:
+        """Deviation of ``u`` on the lowest pair from its exact form at ``x = 2 t g``."""
+        c, s = math.cos(x), -1j * math.sin(x)
+        return float(np.abs(u[np.ix_(ix2, ix2)] - np.array([[c, s], [s, c]])).max())
+
     worst_cos = worst_sector = 0.0
     for t, g in draws:
         amp = spin2_amplitudes(t, g, -1)
         worst_cos = max(worst_cos, abs(amp.stay_m - math.cos(2.0 * t * g)))
-        u2 = exp_spin2_block(t, g, space)[np.ix_(ix2, ix2)]
-        x = 2.0 * t * g
-        ref2 = np.array(
-            [
-                [math.cos(x), -1j * math.sin(x)],
-                [-1j * math.sin(x), math.cos(x)],
-            ]
-        )
-        worst_sector = max(worst_sector, float(np.abs(u2 - ref2).max()))
-    check("vacuum_sector_cosine", worst_cos, 1e-12)
-    check("vacuum_sector_corrected", worst_sector, 1e-9)
-
-    # The misprinted forms must fail visibly; both demonstrations use
-    # t = g = 1, where the deviation is order one.
+        worst_sector = max(worst_sector, off_pair(exp_spin2_block(t, g, space), 2.0 * t * g))
     u_printed = exp_spin2_block(1.0, 1.0, space, printed=True)
-    u2 = u_printed[np.ix_(ix2, ix2)]
-    x = 2.0
-    ref2 = np.array(
-        [[math.cos(x), -1j * math.sin(x)], [-1j * math.sin(x), math.cos(x)]]
-    )
-    check(
-        "printed_pairing_expected_fail",
-        float(np.abs(u2 - ref2).max()),
-        0.1,
-        at_least=True,
-    )
-    ix3 = [2 * space.cutoff, 3 * space.cutoff + 1, 4 * space.cutoff + 2]
-    gen3 = gen2[np.ix_(ix3, ix3)]
-    ref3 = expm_hermitian(gen3, -1j)
-    check(
-        "printed_survival_expected_fail",
-        abs(u_printed[ix3[0], ix3[0]] - ref3[0, 0]),
-        0.1,
-        at_least=True,
-    )
+    ix3 = [2 * m, 3 * m + 1, 4 * m + 2]
+    ref3 = expm_hermitian(multiplet_interaction(4, space)[np.ix_(ix3, ix3)], -1j)
+    return {
+        "vacuum_sector_cosine": worst_cos,
+        "vacuum_sector_corrected": worst_sector,
+        "printed_pairing_expected_fail": off_pair(u_printed, 2.0),
+        "printed_survival_expected_fail": abs(u_printed[ix3[0], ix3[0]] - ref3[0, 0]),
+    }
 
-    # The factored resonant propagator solves the equation of motion:
-    # central finite difference in time against the Hamiltonian action.
-    fd_space = FockSpace(10, cfg.guard)
-    p_fd = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=fd_space)
-    h_fd = hamiltonian(p_fd)
-    step = 1e-4
-    t0 = 0.7
-    diff = (full_propagator(t0 + step, p_fd) - full_propagator(t0 - step, p_fd)) / (2.0 * step)
-    resid = op_norm_diff(1j * diff, h_fd @ full_propagator(t0, p_fd), safe_indices(fd_space, 16))
-    check("schrodinger_residual", resid, 1e-6)
 
-    # At resonance the factored form and the one-shot oracle exponential
-    # agree on the guard band.
-    eq_space = FockSpace(32, cfg.guard)
-    safe_eq = safe_indices(eq_space, 16)
+def _resonant(g: float, space: FockSpace) -> ModelParams:
+    return ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=space)
+
+
+def resonant_residuals(fd_space: FockSpace, space: FockSpace, draws: Draws) -> Residuals:
+    """The factored resonant propagator solves the equation of motion (central
+    finite difference at ``t = 0.7`` on ``fd_space`` against the Hamiltonian
+    action) and agrees with the one-shot oracle exponential on the guard band."""
+    p = _resonant(1.0, fd_space)
+    t0, step = 0.7, 1e-4
+    diff = (full_propagator(t0 + step, p) - full_propagator(t0 - step, p)) / (2.0 * step)
+    action = hamiltonian(p) @ full_propagator(t0, p)
+    resid = op_norm_diff(1j * diff, action, safe_indices(fd_space, 16))
+    safe = safe_indices(space, 16)
     worst = 0.0
-    for t, g in _draw(rng, cfg.samples):
-        p_eq = ModelParams(omega=cfg.omega, delta=cfg.omega, g=g, atoms=4, space=eq_space)
-        worst = max(worst, op_norm_diff(full_propagator(t, p_eq), oracle.evolution(t, p_eq), safe_eq))
-    check("resonant_factorization", worst, 1e-9)
+    for t, g in draws:
+        p = _resonant(g, space)
+        worst = max(worst, op_norm_diff(full_propagator(t, p), oracle.evolution(t, p), safe))
+    return {"schrodinger_residual": resid, "resonant_factorization": worst}
 
-    # Observable trajectories computed through the closed form and through
-    # the oracle coincide pointwise; with the coupling off, nothing moves.
-    dyn_space = FockSpace(16, cfg.guard)
-    p_dyn = ModelParams(omega=cfg.omega, delta=cfg.omega, g=cfg.g, atoms=4, space=dyn_space)
-    init = product_state(0, coherent_state(0.0, dyn_space), reg4, dyn_space)
-    times = np.linspace(0.0, 10.0, 50)
-    closed = trajectory(p_dyn, init, times, method="closed")
-    refd = trajectory(p_dyn, init, times, method="oracle")
-    check(
-        "trajectory_cross_method",
-        float(np.abs(closed.inversion - refd.inversion).max()),
-        1e-9,
-    )
-    p_free = ModelParams(omega=cfg.omega, delta=cfg.omega, g=0.0, atoms=4, space=dyn_space)
-    free = trajectory(p_free, init, times, method="closed")
-    check(
-        "trajectory_free_constant",
-        float(np.abs(free.inversion - free.inversion[0]).max()),
-        1e-12,
-    )
 
-    return results
+def trajectory_residuals(space: FockSpace, initial: QuantumState, times: np.ndarray) -> Residuals:
+    """Inversion trajectories through the closed form and through the oracle
+    coincide pointwise; with the coupling off, nothing moves."""
+    p = _resonant(1.0, space)
+    closed = trajectory(p, initial, times, method="closed")
+    ref = trajectory(p, initial, times, method="oracle")
+    free = trajectory(_resonant(0.0, space), initial, times, method="closed")
+    return {
+        "trajectory_cross_method": float(np.abs(closed.inversion - ref.inversion).max()),
+        "trajectory_free_constant": float(np.abs(free.inversion - free.inversion[0]).max()),
+    }
+
+
+def run_checks(cfg: VerifyConfig) -> list[CheckResult]:
+    """Run the whole invariant suite and return one result per check, in the
+    order of ``CHECKS``."""
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {cfg.samples}")
+    rng = np.random.default_rng(cfg.seed)
+    space = FockSpace(cfg.cutoff, cfg.guard)
+    small = FockSpace(16, cfg.guard)
+    draws = draw(rng, cfg.samples)
+    scalar_draws = draw(rng, 10)
+    resonant_draws = draw(rng, cfg.samples)
+    initial = product_state(0, coherent_state(0.0, small), REG4, small)
+    residuals = {
+        **algebra_residuals(),
+        **block_residuals(small),
+        **spin2_block_residuals(space, draws),
+        **interaction_residuals(space, draws),
+        **pinned_scalar_residuals(scalar_draws),
+        **vacuum_sector_residuals(space, draws),
+        **resonant_residuals(FockSpace(10, cfg.guard), FockSpace(32, cfg.guard), resonant_draws),
+        **trajectory_residuals(small, initial, np.linspace(0.0, 10.0, 50)),
+    }
+    override = cfg.tol_override
+    return [
+        CheckResult(name, float(residuals[name]), tol if override is None else override, floor)
+        for name, tol, floor in CHECKS
+    ]

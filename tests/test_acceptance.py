@@ -2,47 +2,33 @@
 
 Tolerances are fixed here on purpose; loosening them is a contract change,
 not a tuning knob.  Sampling uses a fixed seed so every run sees the same
-draws.
+draws.  Every residual comes from the battery behind ``tc4 verify``, so
+the gate and the CLI measure the same invariants.
 """
 
-import math
-
 import numpy as np
-import pytest
 
-from tc4.dynamics import coherent_state, product_state, trajectory
-from tc4.fock import FockSpace, safe_indices
-from tc4.linalg import expm_hermitian, op_norm_diff
-from tc4.model import (
-    BLOCK_LAYOUT,
-    ModelParams,
-    a4_explicit,
-    block_decompose,
-    excitation_operator,
-    hamiltonian,
-    interaction,
-    multiplet_interaction,
-    transform_t,
+from tc4.dynamics import coherent_state, product_state
+from tc4.fock import FockSpace
+from tc4.spins import AtomRegister
+from tc4.verify import (
+    algebra_residuals,
+    block_residuals,
+    draw,
+    interaction_residuals,
+    pinned_scalar_residuals,
+    resonant_residuals,
+    spin2_block_residuals,
+    trajectory_residuals,
+    vacuum_sector_residuals,
 )
-from tc4.oracle import evolution, exp_in_sectors, interaction_evolution, sector_partition
-from tc4.propagator import (
-    exp_spin2_block,
-    full_propagator,
-    interaction_propagator,
-    spin2_amplitudes,
-)
-from tc4.spins import AtomRegister, collective, su2_check
 
 REG4 = AtomRegister(4)
 SEED = 20260819
 
 
-def draws(count, low=(0.0, 0.0), high=(5.0, 2.0), seed=SEED):
-    rng = np.random.default_rng(seed)
-    return [
-        (float(rng.uniform(low[0], high[0])), float(rng.uniform(low[1], high[1])))
-        for _ in range(count)
-    ]
+def draws(count, seed=SEED):
+    return draw(np.random.default_rng(seed), count)
 
 
 def report(num, name, passed, *pairs):
@@ -52,31 +38,14 @@ def report(num, name, passed, *pairs):
 
 
 def test_01_basis_change_orthogonality():
-    t = transform_t()
-    residual = float(np.abs(t.conj().T @ t - np.eye(16)).max())
+    residual = algebra_residuals()["transform_orthogonal"]
     report(1, "basis_change_orthogonality", residual < 1e-14, ("residual", residual, 1e-14))
 
 
 def test_02_block_purity_and_patterns():
-    space = FockSpace(16)
-    t_mat = transform_t()
-    a4 = interaction(REG4, space)
-    big = np.kron(t_mat, np.eye(16))
-    moved = big.T @ a4 @ big
-    inside = np.zeros(moved.shape, dtype=bool)
-    for blk in BLOCK_LAYOUT:
-        sl = slice(blk.start * 16, blk.stop * 16)
-        inside[sl, sl] = True
-    leak = float(np.abs(np.where(inside, 0.0, moved)).max())
-    refs = {
-        "zero": np.zeros((16, 16)),
-        "spin1": multiplet_interaction(2, space),
-        "spin2": multiplet_interaction(4, space),
-    }
-    blocks = block_decompose(a4, t_mat, space)
-    pattern = max(
-        op_norm_diff(block, refs[layout.kind]) for block, layout in zip(blocks, BLOCK_LAYOUT)
-    )
+    r = block_residuals(FockSpace(16))
+    leak = r["block_leakage"]
+    pattern = r["block_patterns"]
     report(
         2,
         "block_purity_and_patterns",
@@ -87,44 +56,25 @@ def test_02_block_purity_and_patterns():
 
 
 def test_03_explicit_pattern_equals_construction():
-    space = FockSpace(16)
-    equal = bool(np.array_equal(interaction(REG4, space), a4_explicit(space)))
-    report(3, "explicit_pattern_equals_construction", equal, ("residual", 0.0 if equal else 1.0, 0.0))
+    residual = block_residuals(FockSpace(16))["explicit_pattern_match"]
+    report(3, "explicit_pattern_equals_construction", residual == 0.0, ("residual", residual, 0.0))
 
 
 def test_04_su2_residuals_exactly_zero():
-    worst = max(max(su2_check(collective(AtomRegister(n)))) for n in range(1, 5))
+    residuals = algebra_residuals()
+    worst = max(residuals[f"su2_algebra_n{n}"] for n in range(1, 5))
     report(4, "su2_residuals_exactly_zero", worst == 0.0, ("residual", worst, 0.0))
 
 
 def test_05_headline_equivalence():
-    space = FockSpace(40, 6)
-    band = safe_indices(space, 16)
-    worst = 0.0
-    for t, g in draws(20):
-        closed = interaction_propagator(t, g, space)
-        ref = interaction_evolution(t, g, REG4, space)
-        worst = max(worst, op_norm_diff(closed, ref, band))
+    worst = interaction_residuals(FockSpace(40, 6), draws(20))["interaction_closed_vs_oracle"]
     report(5, "headline_equivalence", worst < 1e-9, ("residual", worst, 1e-9))
 
 
 def test_06_spin2_block_vs_oracle_and_checkerboard():
-    space = FockSpace(40, 6)
-    band = safe_indices(space, 5)
-    gen = multiplet_interaction(4, space)
-    secs = sector_partition(np.arange(4, -5, -2), space)
-    worst = 0.0
-    board = 0.0
-    m = space.cutoff
-    for t, g in draws(20):
-        closed = exp_spin2_block(t, g, space)
-        ref = exp_in_sectors(gen, secs, -1j * t * g)
-        worst = max(worst, op_norm_diff(closed, ref, band))
-        for r in range(5):
-            for c in range(5):
-                block = closed[r * m : (r + 1) * m, c * m : (c + 1) * m]
-                part = block.imag if (r + c) % 2 == 0 else block.real
-                board = max(board, float(np.abs(part).max()))
+    r = spin2_block_residuals(FockSpace(40, 6), draws(20))
+    worst = r["spin2_closed_vs_oracle"]
+    board = r["spin2_checkerboard"]
     report(
         6,
         "spin2_block_vs_oracle_and_checkerboard",
@@ -135,22 +85,10 @@ def test_06_spin2_block_vs_oracle_and_checkerboard():
 
 
 def test_07_forced_scalar_values():
-    pair = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
-    worst_pinned = 0.0
-    worst_trig = 0.0
-    for t, g in draws(10, seed=SEED + 1):
-        amp_bottom = spin2_amplitudes(t, g, -2)
-        amp_top = spin2_amplitudes(t, g, 1)
-        worst_pinned = max(
-            worst_pinned, abs(amp_bottom.stay_mm - 1.0), abs(amp_top.stay_pp - 1.0)
-        )
-        ref = expm_hermitian(pair, -1j * t * g)
-        amp = spin2_amplitudes(t, g, -1)
-        worst_trig = max(
-            worst_trig,
-            abs(amp.stay_m - ref[0, 0].real),
-            abs(amp.hop1_mm - ref[0, 1] / (-2.0j)),
-        )
+    sample = draws(10, seed=SEED + 1)
+    worst_pinned = pinned_scalar_residuals(sample)["pinned_scalar_values"]
+    vacuum = vacuum_sector_residuals(FockSpace(12), sample)
+    worst_trig = max(vacuum["vacuum_sector_cosine"], vacuum["vacuum_sector_corrected"])
     report(
         7,
         "forced_scalar_values",
@@ -161,16 +99,9 @@ def test_07_forced_scalar_values():
 
 
 def test_08_misprint_demonstration():
-    space = FockSpace(12)
-    ix = [3 * 12 + 0, 4 * 12 + 1]
-    x = 2.0
-    exact = np.array(
-        [[math.cos(x), -1j * math.sin(x)], [-1j * math.sin(x), math.cos(x)]]
-    )
-    bad = exp_spin2_block(1.0, 1.0, space, printed=True)[np.ix_(ix, ix)]
-    good = exp_spin2_block(1.0, 1.0, space)[np.ix_(ix, ix)]
-    bad_residual = float(np.abs(bad - exact).max())
-    good_residual = float(np.abs(good - exact).max())
+    r = vacuum_sector_residuals(FockSpace(12), [(1.0, 1.0)])
+    bad_residual = r["printed_pairing_expected_fail"]
+    good_residual = r["vacuum_sector_corrected"]
     report(
         8,
         "misprint_demonstration",
@@ -181,22 +112,9 @@ def test_08_misprint_demonstration():
 
 
 def test_09_equation_of_motion_and_factorization():
-    fd_space = FockSpace(10)
-    p_fd = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=fd_space)
-    h = hamiltonian(p_fd)
-    band = safe_indices(fd_space, 16)
-    step = 1e-4
-    diff = (full_propagator(0.7 + step, p_fd) - full_propagator(0.7 - step, p_fd)) / (
-        2.0 * step
-    )
-    fd_residual = op_norm_diff(1j * diff, h @ full_propagator(0.7, p_fd), band)
-
-    space = FockSpace(32, 6)
-    band32 = safe_indices(space, 16)
-    worst = 0.0
-    for t, g in draws(10, seed=SEED + 2):
-        p = ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=space)
-        worst = max(worst, op_norm_diff(full_propagator(t, p), evolution(t, p), band32))
+    r = resonant_residuals(FockSpace(10), FockSpace(32, 6), draws(10, seed=SEED + 2))
+    fd_residual = r["schrodinger_residual"]
+    worst = r["resonant_factorization"]
     report(
         9,
         "equation_of_motion_and_factorization",
@@ -207,17 +125,10 @@ def test_09_equation_of_motion_and_factorization():
 
 
 def test_10_unitarity_group_law_conservation():
-    space = FockSpace(16, 6)
-    band = safe_indices(space, 16)
-    ident = np.eye(16 * 16, dtype=complex)
-    e_op = excitation_operator(REG4, space)
-    w_unit = w_group = w_cons = 0.0
-    for t, g in draws(50, seed=SEED + 3):
-        u = interaction_propagator(t, g, space)
-        w_unit = max(w_unit, op_norm_diff(u @ u.conj().T, ident, band))
-        half = interaction_propagator(t / 2.0, g, space)
-        w_group = max(w_group, op_norm_diff(half @ half, u, band))
-        w_cons = max(w_cons, op_norm_diff(u @ e_op, e_op @ u, band))
+    r = interaction_residuals(FockSpace(16, 6), draws(50, seed=SEED + 3))
+    w_unit = r["interaction_unitary"]
+    w_group = r["interaction_group_law"]
+    w_cons = r["excitation_conserved"]
     report(
         10,
         "unitarity_group_law_conservation",
@@ -229,16 +140,18 @@ def test_10_unitarity_group_law_conservation():
 
 
 def test_11_dynamics_cross_check():
+    # Two starts in vacuum: all atoms excited (register index 0), and atoms
+    # 1 and 2 excited (index 3, "--atomic 1100").  Only the second reaches
+    # the misprinted amplitudes; tests/test_verify.py shows it failing under
+    # the printed form.
     space = FockSpace(16, 6)
-    init = product_state(0, coherent_state(0.0, space), REG4, space)
     times = np.linspace(0.0, 10.0, 200)
-    p = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=space)
-    closed = trajectory(p, init, times, method="closed")
-    ref = trajectory(p, init, times, method="oracle")
-    cross = float(np.abs(closed.inversion - ref.inversion).max())
-    p_free = ModelParams(omega=1.0, delta=1.0, g=0.0, atoms=4, space=space)
-    free = trajectory(p_free, init, times, method="closed")
-    drift = float(np.abs(free.inversion - free.inversion[0]).max())
+    runs = []
+    for index in (0, 3):
+        init = product_state(index, coherent_state(0.0, space), REG4, space)
+        runs.append(trajectory_residuals(space, init, times))
+    cross = max(r["trajectory_cross_method"] for r in runs)
+    drift = max(r["trajectory_free_constant"] for r in runs)
     report(
         11,
         "dynamics_cross_check",

@@ -205,3 +205,29 @@ def test_verify_tolerance_override_fails(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evolve", "--t", "nan"], "--t"),
+        (["evolve", "--t", "inf"], "--t"),
+        (["evolve", "--g", "nan"], "--g"),
+        (["evolve", "--g", "inf"], "--g"),
+        (["evolve", "--t-max", "nan"], "--t-max"),
+        (["evolve", "--omega", "inf"], "--omega"),
+        (["evolve", "--delta=-inf", "--method", "oracle"], "--delta"),
+        (["build", "--t", "nan"], "--t"),
+        (["build", "--g", "-inf"], "--g"),
+        (["evolve", "--photon-cols", "-3"], "--photon-cols"),
+        (["evolve", "--t-steps", "-2"], "--t-steps"),
+        (["evolve", "--t-steps", "0"], "--t-steps"),
+    ],
+)
+def test_rejects_bad_numbers_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--cutoff", "8", "--out", str(out)])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,6 @@ from tc4.dynamics import (
     evolve,
     photon_distribution,
     product_state,
-    trace_observable,
     trajectory,
 )
 from tc4.fock import FockSpace
@@ -140,13 +139,6 @@ def test_trajectory_norm_stable_over_many_steps():
     traj = trajectory(p, init, times, method="closed", mode="stepped")
     norms = traj.photon.sum(axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
-
-
-def test_trace_observable_initial_point():
-    p = resonant(g=1.3)
-    init = product_state(0, coherent_state(0.0, SPACE), REG4, SPACE)
-    series = trace_observable(p, init, np.array([0.0]))
-    assert series.values[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_trajectory_method_validation():

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tc4.linalg import dagger, expm_hermitian, hermitian_defect, kron, op_norm_diff
+from tc4.linalg import expm_hermitian, hermitian_defect, op_norm_diff
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -12,38 +10,10 @@ def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(np.eye(3), np.eye(4)), np.eye(12))
-
-
-def test_kron_against_index_formula():
-    rng = np.random.default_rng(11)
-    a = random_complex(rng, 3, 2)
-    b = random_complex(rng, 2, 4)
-    out = kron(a, b)
-    # vectorized complex multiplication may fuse operations, so compare
-    # against the scalar product with a rounding allowance
-    for i in range(3):
-        for j in range(2):
-            for k in range(2):
-                for l in range(4):
-                    assert abs(out[i * 2 + k, j * 4 + l] - a[i, j] * b[k, l]) < 1e-14
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3), st.integers(2, 3))
-def test_kron_associative(seed, da, db, dc):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, da, da)
-    b = random_complex(rng, db, db)
-    c = random_complex(rng, dc, dc)
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-
 def test_dagger_and_defect():
     rng = np.random.default_rng(5)
     a = random_complex(rng, 4, 4)
-    h = a + dagger(a)
+    h = a + a.conj().T
     assert hermitian_defect(h) == 0.0
     assert hermitian_defect(h + 1e-3 * 1j * np.eye(4)) == pytest.approx(2e-3)
 
@@ -68,10 +38,10 @@ def test_expm_rejects_non_hermitian():
 def test_expm_unitary_and_group_law():
     rng = np.random.default_rng(3)
     a = random_complex(rng, 6, 6)
-    h = a + dagger(a)
+    h = a + a.conj().T
     u1 = expm_hermitian(h, -0.3j)
     u2 = expm_hermitian(h, -0.9j)
-    np.testing.assert_allclose(u1 @ dagger(u1), np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(6), atol=1e-10)
     np.testing.assert_allclose(u1 @ u2, expm_hermitian(h, -1.2j), atol=1e-10)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tc4.fock import FockSpace, ladder, safe_indices
-from tc4.linalg import hermitian_defect, kron
+from tc4.linalg import hermitian_defect
 from tc4.model import (
     BLOCK_LAYOUT,
     ModelParams,
@@ -46,12 +46,12 @@ def test_hamiltonian_matches_per_atom_sum():
     reg = AtomRegister(3)
     a, a_dag, n_op = ladder(SPACE)
     ident = np.eye(8, dtype=complex)
-    h_sum = p.omega * kron(ident, n_op)
+    h_sum = p.omega * np.kron(ident, n_op)
     for atom in range(1, 4):
-        h_sum += p.delta * 0.5 * kron(sigma_embed(reg, "three", atom), np.eye(16))
+        h_sum += p.delta * 0.5 * np.kron(sigma_embed(reg, "three", atom), np.eye(16))
         h_sum += p.g * (
-            kron(sigma_embed(reg, "plus", atom), a)
-            + kron(sigma_embed(reg, "minus", atom), a_dag)
+            np.kron(sigma_embed(reg, "plus", atom), a)
+            + np.kron(sigma_embed(reg, "minus", atom), a_dag)
         )
     # summation order differs between the two constructions, so allow
     # one rounding step on the diagonal

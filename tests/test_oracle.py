@@ -89,12 +89,10 @@ def test_evolution_free_limit():
     np.testing.assert_allclose(u, expected, atol=1e-13)
 
 
-def test_evolution_method_validation():
+def test_evolution_matches_dense_exponential():
     p = ModelParams(omega=1.0, delta=1.0, g=0.5, atoms=2, space=SPACE)
-    with pytest.raises(ValueError, match="sectors"):
-        evolution(1.0, p, method="magic")
     np.testing.assert_allclose(
-        evolution(0.5, p), evolution(0.5, p, method="dense"), atol=1e-11
+        evolution(0.5, p), expm_hermitian(hamiltonian(p), -0.5j), atol=1e-11
     )
 
 

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps tc4 functions it looks
+up by module and name, and reads the sizes of some calls from their argument
+names.  Renaming or deleting one of them breaks every traced benchmark run,
+so the contract is checked here, against the tracer file as it stands."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from tc4.dynamics import coherent_state, product_state
+from tc4.fock import FockSpace
+from tc4.model import ModelParams
+from tc4.spins import AtomRegister
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """The tracer module, and the tc4 modules its ``LAYERS`` name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(f"tc4.{name}") for name, _ in tracing.LAYERS}
+    return tracing, modules
+
+
+def test_every_traced_layer_resolves():
+    tracing, modules = load_tracing()
+    missing = [
+        f"{module}.{function}"
+        for module, function in tracing.LAYERS
+        if not callable(getattr(modules[module], function, None))
+    ]
+    assert not missing
+
+
+def test_sized_layers_bind_their_arguments():
+    tracing, modules = load_tracing()
+    space = FockSpace(8)
+    p = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=space)
+    init = product_state(0, coherent_state(0.0, space), AtomRegister(4), space)
+    with tracing.Tracer(modules) as tracer:
+        for method in ("closed", "oracle"):
+            modules["dynamics"].trajectory(p, init, np.array([0.0, 0.5]), method=method)
+        modules["oracle"].interaction_evolution(0.5, 1.0, AtomRegister(2), space)
+    summary = tracing.summarize(tracer.spans)
+    assert summary["dynamics.operators_per_point"] == 1.0
+    assert summary["propagator.interaction_propagator.calls"] == 2
+    assert summary["oracle.interaction_evolution.calls"] == 1
+    assert summary["propagator.basis_change.flop"] > 0
