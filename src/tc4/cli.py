@@ -159,20 +159,25 @@ def _build_u(cfg: RunConfig, variant: str) -> np.ndarray:
 
 def cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cfg = _run_config(parser, args, args.t)
-    if cfg.method == "both":
-        u_closed = _build_u(cfg, "closed")
-        u_oracle = _build_u(cfg, "oracle")
-        for variant, u in (("closed", u_closed), ("oracle", u_oracle)):
-            path = _split_out(args.out, variant)
-            _write_operator(path, u, cfg, variant)
+    try:
+        if cfg.method == "both":
+            u_closed = _build_u(cfg, "closed")
+            u_oracle = _build_u(cfg, "oracle")
+            for variant, u in (("closed", u_closed), ("oracle", u_oracle)):
+                path = _split_out(args.out, variant)
+                _write_operator(path, u, cfg, variant)
+                print(f"wrote {path}")
+            band = safe_indices(cfg.space, AtomRegister(cfg.atoms).levels)
+            diff = op_norm_diff(u_closed, u_oracle, band)
+            print(f"guard-band max diff closed vs oracle: {diff:.3e}")
+        else:
+            u = _build_u(cfg, cfg.method)
+            path = Path(args.out)
+            _write_operator(path, u, cfg, cfg.method)
             print(f"wrote {path}")
-        band = safe_indices(cfg.space, AtomRegister(cfg.atoms).levels)
-        print(f"guard-band max diff closed vs oracle: {op_norm_diff(u_closed, u_oracle, band):.3e}")
-    else:
-        u = _build_u(cfg, cfg.method)
-        path = Path(args.out)
-        _write_operator(path, u, cfg, cfg.method)
-        print(f"wrote {path}")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -275,14 +280,17 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(
-        cutoff=args.cutoff,
-        guard=args.guard,
-        samples=args.samples,
-        seed=args.seed,
-        tol_override=args.tol_override,
-    )
+def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    try:
+        cfg = VerifyConfig(
+            cutoff=args.cutoff,
+            guard=args.guard,
+            samples=args.samples,
+            seed=args.seed,
+            tol_override=args.tol_override,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     results = run_checks(cfg)
     for result in results:
         print(format_result(result))
@@ -329,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_build(parser, args)
     if args.command == "evolve":
         return cmd_evolve(parser, args)
-    return cmd_verify(args)
+    return cmd_verify(parser, args)
 
 
 if __name__ == "__main__":

@@ -8,15 +8,15 @@ operator.  Interaction terms move at most four photons, so a guard of six
 leaves the retained block exactly equal to its infinite-space value.
 
 ``number_fn_term`` builds matrices of the shape "diagonal function of the
-shifted photon number, times a ladder power" that the closed-form
-propagator is made of.  The convention is ladder first, then the diagonal
-function evaluated at the photon number *after* the ladder acted, plus the
-shift.
+shifted photon number, times a ladder power" that the closed-form spin-2
+block is made of; the tests assemble the block from it as the reference
+for the vectorized form in ``propagator``.  The convention is ladder
+first, then the diagonal function evaluated at the photon number *after*
+the ladder acted, plus the shift.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +27,6 @@ __all__ = [
     "NumberFunction",
     "ladder",
     "number_fn_term",
-    "entire_cos",
-    "entire_sinc",
     "safe_indices",
 ]
 
@@ -126,34 +124,6 @@ def number_fn_term(
     a, a_dag, _ = ladder(space)
     step = a if side == "lower" else a_dag
     return diag @ np.linalg.matrix_power(step, ladder_power)
-
-
-def entire_cos(lam: float, x: float) -> float:
-    """Entire extension of ``cos(x * sqrt(lam))`` to negative ``lam``.
-
-    Even power series in ``sqrt(lam)``, so it is a genuine function of
-    ``lam``: ordinary cosine for ``lam >= 0`` and ``cosh(x sqrt(-lam))``
-    below zero.
-    """
-    if lam >= 0.0:
-        return math.cos(x * math.sqrt(lam))
-    return math.cosh(x * math.sqrt(-lam))
-
-
-def entire_sinc(lam: float, x: float) -> float:
-    """Entire extension of ``sin(x * sqrt(lam)) / sqrt(lam)``.
-
-    Equals ``x`` at ``lam = 0`` and ``sinh(x sqrt(-lam)) / sqrt(-lam)``
-    for negative ``lam``; only odd powers of ``x`` appear, never a bare
-    square root of ``lam``.
-    """
-    if lam > 0.0:
-        r = math.sqrt(lam)
-        return math.sin(x * r) / r
-    if lam == 0.0:
-        return x
-    r = math.sqrt(-lam)
-    return math.sinh(x * r) / r
 
 
 def safe_indices(space: FockSpace, levels: int) -> np.ndarray:

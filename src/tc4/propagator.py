@@ -10,10 +10,11 @@ has a genuine closed form, written as a five-by-five grid of terms
 
 Each amplitude is built from the spectral data of one excitation sector:
 two squared frequencies (the nonzero sector eigenvalues come in opposite
-pairs) and weight coefficients.  Everything is evaluated through the
-entire extensions ``entire_cos`` and ``entire_sinc`` so the expressions
-stay real and finite when a squared frequency crosses zero at the bottom
-of the spectrum.
+pairs) and weight coefficients.  Amplitudes are evaluated on whole arrays
+of times and arguments, and the grid of terms is applied to vectors, so a
+trajectory (``full_states``) propagates its state over every time at once
+without forming a propagator; the operator (``full_propagator``) is the
+same action applied to the identity.
 
 Two entries of the published amplitude table this reproduces are
 misprinted; see CORRECTIONS.md at the repository root.  The corrected
@@ -23,14 +24,19 @@ forms are the default, the misprinted ones stay available behind
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, NumberFunction, entire_cos, entire_sinc, number_fn_term
-from .model import BLOCK_LAYOUT, ModelParams, multiplet_interaction, transform_t
-from .oracle import exp_in_sectors, interaction_evolution, sector_partition
+from .fock import FockSpace
+from .model import BLOCK_LAYOUT, ModelParams, interaction, multiplet_interaction, transform_t
+from .oracle import (
+    evolve_in_sectors,
+    exp_in_sectors,
+    interaction_evolution,
+    sector_partition,
+    sectors,
+)
 from .spins import twice_s3
 
 __all__ = [
@@ -41,41 +47,45 @@ __all__ = [
     "exp_spin2_block",
     "exp_spin1_block",
     "interaction_propagator",
+    "interaction_states",
     "full_propagator",
+    "full_states",
 ]
 
 
 @dataclass(frozen=True)
 class SpectralParams:
     """Spectral data of the five-dimensional excitation sector at integer
-    argument ``m``.
+    argument ``m`` (every field has the shape of ``m``).
 
     ``disc`` is the discriminant ``4 m^2 + 4 m + 9``, never below eight, and
     ``root`` its square root.  ``lam_plus`` and ``lam_minus`` are the squared
     sector frequencies; the ``u``, ``v``, ``w`` pairs are the weights the
-    amplitude functions combine them with.  A squared frequency may be
-    negative near the bottom of the spectrum, but only where its weight
-    vanishes or the entire extensions keep the result bounded.
+    amplitude functions combine them with.  A squared frequency is negative
+    only at the bottom of the spectrum, ``lam_minus`` for ``m <= 0`` and
+    ``lam_plus`` for ``m <= -2``; it is never zero.
     """
 
-    m: int
-    disc: float
-    root: float
-    lam_plus: float
-    lam_minus: float
-    u_plus: float
-    u_minus: float
-    v_plus: float
-    v_minus: float
-    w_plus: float
-    w_minus: float
+    m: np.ndarray
+    disc: np.ndarray
+    root: np.ndarray
+    lam_plus: np.ndarray
+    lam_minus: np.ndarray
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    v_plus: np.ndarray
+    v_minus: np.ndarray
+    w_plus: np.ndarray
+    w_minus: np.ndarray
 
 
-def spectral_params(m: int) -> SpectralParams:
-    """Discriminant, squared frequencies, and weights at integer ``m``."""
-    disc = float(4 * m * m + 4 * m + 9)
-    root = math.sqrt(disc)
-    half = math.sqrt(1.5)
+def spectral_params(m: np.ndarray) -> SpectralParams:
+    """Discriminant, squared frequencies, and weights at integer ``m``, a
+    number or an array."""
+    m = np.asarray(m)
+    disc = 4.0 * m * m + 4.0 * m + 9.0
+    root = np.sqrt(disc)
+    half = np.sqrt(1.5)
     return SpectralParams(
         m=m,
         disc=disc,
@@ -94,7 +104,7 @@ def spectral_params(m: int) -> SpectralParams:
 @dataclass(frozen=True)
 class Spin2Amplitudes:
     """Transition amplitudes between the five projection levels of the
-    spin-2 block, all evaluated at one integer argument.
+    spin-2 block, each an array over the broadcast times and arguments.
 
     ``stay_*`` are the survival amplitudes from projection +2 down to -2;
     ``hopK_*`` transfer ``K`` photons, the suffix naming the upper level of
@@ -102,24 +112,38 @@ class Spin2Amplitudes:
     checkerboard and enter the propagator with a factor ``-i``.
     """
 
-    stay_pp: complex
-    stay_p: complex
-    stay_0: complex
-    stay_m: complex
-    stay_mm: complex
-    hop1_pp: complex
-    hop1_p: complex
-    hop1_m: complex
-    hop1_mm: complex
-    hop2_p: complex
-    hop2_0: complex
-    hop2_m: complex
-    hop3: complex
-    hop4: complex
+    stay_pp: np.ndarray
+    stay_p: np.ndarray
+    stay_0: np.ndarray
+    stay_m: np.ndarray
+    stay_mm: np.ndarray
+    hop1_pp: np.ndarray
+    hop1_p: np.ndarray
+    hop1_m: np.ndarray
+    hop1_mm: np.ndarray
+    hop2_p: np.ndarray
+    hop2_0: np.ndarray
+    hop2_m: np.ndarray
+    hop3: np.ndarray
+    hop4: np.ndarray
 
 
-def spin2_amplitudes(t: float, g: float, m: int, printed: bool = False) -> Spin2Amplitudes:
-    """Evaluate the fourteen amplitude functions at argument ``m``.
+def spin2_amplitudes(
+    t: np.ndarray, g: float, m: np.ndarray, printed: bool = False
+) -> Spin2Amplitudes:
+    """Evaluate the fourteen amplitude functions at times ``t`` and integer
+    arguments ``m``, numbers or arrays that broadcast together.
+
+    A branch whose squared frequency is negative is held at its ``t = 0``
+    value instead of being evaluated.  Wherever the spin-2 block reads an
+    amplitude, such a branch carries a weight of exactly zero (``u_plus``
+    at ``m`` in {-1, 0}, ``w_minus`` at ``m = 0``, ``4 (m + 2)`` at
+    ``m = -2``); every other negative branch belongs to an argument the
+    block never reads, because the ladder coefficient of its entry is zero.
+    So no hyperbolic function is ever computed and nothing overflows at
+    large ``t g``, and only the amplitudes at unread arguments can differ from
+    the analytic continuation of the formulas.  A non-finite amplitude
+    raises ``ValueError``.
 
     ``printed=True`` reproduces the two misprinted entries of the published
     table (see CORRECTIONS.md): the spin-0 survival with a spurious factor
@@ -127,41 +151,55 @@ def spin2_amplitudes(t: float, g: float, m: int, printed: bool = False) -> Spin2
     head to head, which even goes complex where a squared frequency is
     negative.  Default is the corrected, oracle-verified form.
     """
-    x = t * g
     p = spectral_params(m)
-    cp = entire_cos(p.lam_plus, x)
-    cm = entire_cos(p.lam_minus, x)
-    sp = entire_sinc(p.lam_plus, x)
-    sm = entire_sinc(p.lam_minus, x)
-    dp = (cp - 1.0) / p.lam_plus
-    dm = (cm - 1.0) / p.lam_minus
     rd = p.root
+    # A non-finite t g, or one so large that x * sqrt(lam) overflows, is
+    # reported by the check below rather than by floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.multiply(t, g)
+        xp = np.where(p.lam_plus > 0.0, x, 0.0)
+        xm = np.where(p.lam_minus > 0.0, x, 0.0)
+        rp = np.sqrt(np.abs(p.lam_plus))
+        rm = np.sqrt(np.abs(p.lam_minus))
+        cp = np.cos(xp * rp)
+        cm = np.cos(xm * rm)
+        sp = np.sin(xp * rp) / rp
+        sm = np.sin(xm * rm) / rm
+        dp = (cp - 1.0) / p.lam_plus
+        dm = (cm - 1.0) / p.lam_minus
 
-    spin0_weight = 2.0 if printed else 1.0
-    if printed:
-        rp = np.sqrt(complex(p.lam_plus))
-        rm = np.sqrt(complex(p.lam_minus))
-        hop1_mm = ((p.u_plus / rp) * np.sin(x * rm) - (p.u_minus / rm) * np.sin(x * rp)) / rd
-        hop1_mm = complex(hop1_mm)
-    else:
-        hop1_mm = (p.u_plus * sm - p.u_minus * sp) / rd
+        spin0_weight = 2.0 if printed else 1.0
+        if printed:
+            rpc = np.sqrt(p.lam_plus + 0j)
+            rmc = np.sqrt(p.lam_minus + 0j)
+            hop1_mm = (
+                (p.u_plus / rpc) * np.sin(xm * rmc) - (p.u_minus / rmc) * np.sin(xp * rpc)
+            ) / rd
+        else:
+            hop1_mm = (p.u_plus * sm - p.u_minus * sp) / rd
 
-    return Spin2Amplitudes(
-        stay_pp=1.0 + 4.0 * (m - 1) * (p.u_plus * dp - p.u_minus * dm) / rd,
-        stay_p=(p.u_plus * cp - p.u_minus * cm) / rd,
-        stay_0=1.0 + spin0_weight * (p.v_plus * p.w_plus * dp - p.v_minus * p.w_minus * dm) / rd,
-        stay_m=(p.u_plus * cm - p.u_minus * cp) / rd,
-        stay_mm=1.0 + 4.0 * (m + 2) * (p.u_plus * dm - p.u_minus * dp) / rd,
-        hop1_pp=(p.u_plus * sp - p.u_minus * sm) / rd,
-        hop1_p=2.0 * (p.v_plus * sp - p.v_minus * sm) / rd,
-        hop1_m=2.0 * (p.w_plus * sp - p.w_minus * sm) / rd,
-        hop1_mm=hop1_mm,
-        hop2_p=2.0 * (p.v_plus * dp - p.v_minus * dm) / rd,
-        hop2_0=(cp - cm) / rd,
-        hop2_m=2.0 * (p.w_plus * dp - p.w_minus * dm) / rd,
-        hop3=(sp - sm) / rd,
-        hop4=4.0 * (dp - dm) / rd,
-    )
+        amps = Spin2Amplitudes(
+            stay_pp=1.0 + 4.0 * (p.m - 1) * (p.u_plus * dp - p.u_minus * dm) / rd,
+            stay_p=(p.u_plus * cp - p.u_minus * cm) / rd,
+            stay_0=1.0
+            + spin0_weight * (p.v_plus * p.w_plus * dp - p.v_minus * p.w_minus * dm) / rd,
+            stay_m=(p.u_plus * cm - p.u_minus * cp) / rd,
+            stay_mm=1.0 + 4.0 * (p.m + 2) * (p.u_plus * dm - p.u_minus * dp) / rd,
+            hop1_pp=(p.u_plus * sp - p.u_minus * sm) / rd,
+            hop1_p=2.0 * (p.v_plus * sp - p.v_minus * sm) / rd,
+            hop1_m=2.0 * (p.w_plus * sp - p.w_minus * sm) / rd,
+            hop1_mm=hop1_mm,
+            hop2_p=2.0 * (p.v_plus * dp - p.v_minus * dm) / rd,
+            hop2_0=(cp - cm) / rd,
+            hop2_m=2.0 * (p.w_plus * dp - p.w_minus * dm) / rd,
+            hop3=(sp - sm) / rd,
+            hop4=4.0 * (dp - dm) / rd,
+        )
+    for name in amps.__dataclass_fields__:
+        if not np.isfinite(getattr(amps, name)).all():
+            worst = float(np.max(np.abs(x)))
+            raise ValueError(f"spin-2 amplitude {name} is not finite at |t g| up to {worst!r}")
+    return amps
 
 
 # Layout of the spin-2 block exponential over the five projection levels,
@@ -200,29 +238,51 @@ _SIN_GRID = (
 )
 
 
+# Both grids as (row, col, amplitude, argument shift, ladder power, ladder
+# side, coefficient): the even terms enter with 1, the odd ones with -i
+# times their prefactor.
+_GRID = (
+    *((*entry, 1.0) for entry in _COS_GRID),
+    *((*entry[:-1], -1j * entry[-1]) for entry in _SIN_GRID),
+)
+_LADDER_STEP = {"lower": 1, "raise": -1, "diagonal": 0}
+
+
+def _spin2_action(
+    times: np.ndarray, g: float, vecs: np.ndarray, printed: bool = False
+) -> np.ndarray:
+    """``exp(-i t g B) vecs`` for every time of the 1-D array ``times``.
+
+    ``vecs`` has shape ``(5, cutoff, k)``: projection level, photon number,
+    column.  The result adds a leading time axis.  Each grid term is applied
+    as a ladder shift of the photon axis, ladder first and the amplitude at
+    the photon number after the ladder acted, plus the shift; only rows
+    whose ladder coefficient is nonzero are read, and the amplitudes come
+    from one ``spin2_amplitudes`` call over all times and arguments.
+    """
+    m_dim = vecs.shape[1]
+    amps = spin2_amplitudes(times[:, None], g, np.arange(-2, m_dim + 2), printed)
+    out = np.zeros((len(times), *vecs.shape), dtype=complex)
+    for row, col, name, shift, power, side, coef in _GRID:
+        step = power * _LADDER_STEP[side]
+        rows = np.arange(max(0, -step), m_dim - max(0, step))
+        top = rows + max(step, 0)  # the larger photon number of each transition
+        ladder = np.sqrt(np.prod([top - k for k in range(power)], axis=0))
+        weight = coef * getattr(amps, name)[:, rows + shift + 2] * ladder
+        out[:, row, rows] += weight[:, :, None] * vecs[col, rows + step]
+    return out
+
+
 def exp_spin2_block(t: float, g: float, space: FockSpace, printed: bool = False) -> np.ndarray:
     """Closed-form ``exp(-i t g B)`` for the spin-2 coupling block."""
-    m_dim = space.cutoff
-    cache: dict[int, Spin2Amplitudes] = {}
+    dim = 5 * space.cutoff
+    ident = np.eye(dim, dtype=complex).reshape(5, space.cutoff, dim)
+    return _spin2_action(np.array([float(t)]), g, ident, printed)[0].reshape(dim, dim)
 
-    def amp(name: str) -> NumberFunction:
-        def value(m: int) -> complex:
-            if m not in cache:
-                cache[m] = spin2_amplitudes(t, g, m, printed)
-            return getattr(cache[m], name)
 
-        return NumberFunction(value, name)
-
-    out = np.zeros((5 * m_dim, 5 * m_dim), dtype=complex)
-    for row, col, name, shift, power, side in _COS_GRID:
-        out[row * m_dim : (row + 1) * m_dim, col * m_dim : (col + 1) * m_dim] += number_fn_term(
-            space, amp(name), shift, power, side
-        )
-    for row, col, name, shift, power, side, factor in _SIN_GRID:
-        out[row * m_dim : (row + 1) * m_dim, col * m_dim : (col + 1) * m_dim] += (
-            -1j * factor
-        ) * number_fn_term(space, amp(name), shift, power, side)
-    return out
+def _spin1_generator(space: FockSpace) -> tuple[np.ndarray, list]:
+    """The spin-1 coupling and its excitation sectors."""
+    return multiplet_interaction(2, space), sector_partition(np.array([2, 0, -2]), space)
 
 
 def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
@@ -232,9 +292,7 @@ def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
     eigendecomposition is both simpler and tighter than transcribing
     another amplitude table.
     """
-    gen = multiplet_interaction(2, space)
-    secs = sector_partition(np.array([2, 0, -2]), space)
-    return exp_in_sectors(gen, secs, -1j * t * g)
+    return exp_in_sectors(*_spin1_generator(space), -1j * t * g)
 
 
 def interaction_propagator(
@@ -247,8 +305,8 @@ def interaction_propagator(
     """
     m = space.cutoff
     core = np.eye(16 * m, dtype=complex)
-    eb1 = exp_spin1_block(t, g, space)
     eb2 = exp_spin2_block(t, g, space, printed)
+    eb1 = exp_spin1_block(t, g, space)
     for blk in BLOCK_LAYOUT:
         sl = slice(blk.start * m, blk.stop * m)
         if blk.kind == "spin1":
@@ -259,11 +317,49 @@ def interaction_propagator(
     return big @ core @ big.T
 
 
-def _free_phases(t: float, p: ModelParams) -> np.ndarray:
-    """Diagonal of the free propagator ``exp(-i t omega (S3 x 1 + 1 x N))``."""
+def interaction_states(
+    times: np.ndarray, g: float, space: FockSpace, psi: np.ndarray
+) -> np.ndarray:
+    """Closed-form ``exp(-i t g A) psi`` for every time of the 1-D array
+    ``times``, one row per time, without forming a propagator.
+
+    The state is rotated into the block basis once.  The zero blocks keep
+    their components, the spin-1 blocks evolve from one eigendecomposition
+    per sector, the spin-2 block through its closed form applied to the
+    vector, and the result is rotated back.
+    """
+    m = space.cutoff
+    t_mat = transform_t()
+    core = t_mat.T @ psi.reshape(16, m)
+    out = np.empty((len(times), 16, m), dtype=complex)
+    for blk in BLOCK_LAYOUT:
+        sl = slice(blk.start, blk.stop)
+        if blk.kind == "zero":
+            out[:, sl] = core[sl]
+        elif blk.kind == "spin2":
+            out[:, sl] = _spin2_action(times, g, core[sl, :, None])[..., 0]
+    spin1 = [slice(b.start, b.stop) for b in BLOCK_LAYOUT if b.kind == "spin1"]
+    cols = np.stack([core[sl].ravel() for sl in spin1], axis=1)
+    moved = evolve_in_sectors(*_spin1_generator(space), -1j * g * times, cols)
+    for k, sl in enumerate(spin1):
+        out[:, sl] = moved[:, :, k].reshape(len(times), 3, m)
+    return np.einsum("ab,tbm->tam", t_mat, out).reshape(len(times), 16 * m)
+
+
+def _free_phases(t: float | np.ndarray, p: ModelParams) -> np.ndarray:
+    """Diagonal of the free propagator ``exp(-i t omega (S3 x 1 + 1 x N))``;
+    a column of times gives one row per time."""
     halves = np.repeat(twice_s3(p.register), p.space.cutoff) / 2.0
     photons = np.tile(np.arange(p.space.cutoff), p.register.levels)
     return np.exp(-1j * t * p.omega * (halves + photons))
+
+
+def _require_resonance(p: ModelParams) -> None:
+    if not p.resonant:
+        raise ValueError(
+            "closed-form factorization requires resonance (delta == omega); "
+            "use oracle.evolution for detuned parameters"
+        )
 
 
 def full_propagator(t: float, p: ModelParams, printed: bool = False) -> np.ndarray:
@@ -275,13 +371,26 @@ def full_propagator(t: float, p: ModelParams, printed: bool = False) -> np.ndarr
     hand-written block form and route the interaction part through the
     sector oracle.
     """
-    if not p.resonant:
-        raise ValueError(
-            "closed-form factorization requires resonance (delta == omega); "
-            "use oracle.evolution for detuned parameters"
-        )
+    _require_resonance(p)
     if p.atoms == 4:
         inter = interaction_propagator(t, p.g, p.space, printed)
     else:
         inter = interaction_evolution(t, p.g, p.register, p.space)
     return _free_phases(t, p)[:, None] * inter
+
+
+def full_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarray:
+    """Resonant states ``exp(-i t H) psi``, one row per time of the 1-D
+    array ``times``, as free phases times the interaction part; no
+    propagator is formed.  Resonance and small registers are handled as in
+    ``full_propagator``."""
+    _require_resonance(p)
+    times = np.asarray(times, dtype=float)
+    if p.atoms == 4:
+        inter = interaction_states(times, p.g, p.space, psi)
+    else:
+        scales = -1j * p.g * times
+        inter = evolve_in_sectors(
+            interaction(p.register, p.space), sectors(p.register, p.space), scales, psi
+        )
+    return _free_phases(times[:, None], p) * inter

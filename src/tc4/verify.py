@@ -67,7 +67,9 @@ class VerifyConfig:
 
     ``tol_override`` replaces every tolerance (and every expected-failure
     floor) when set; forcing it to zero must make the suite fail, which is
-    itself a useful meta-check that the residuals are honest numbers.
+    itself a useful meta-check that the residuals are honest numbers.  A
+    configuration with ``samples < 1``, or a guard or cutoff that one of
+    the battery's truncations cannot take, raises ``ValueError``.
     """
 
     cutoff: int = 40
@@ -75,6 +77,18 @@ class VerifyConfig:
     samples: int = 5
     seed: int = 1234
     tol_override: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        self.spaces()
+
+    def spaces(self) -> tuple[FockSpace, FockSpace, FockSpace, FockSpace]:
+        """Truncations the battery runs on: the configured cutoff, and the
+        fixed cutoffs of the structure and trajectory checks (16), the
+        finite difference (10) and the factorization (32), all with the
+        configured guard.  Raises ``ValueError`` if one cannot be built."""
+        return tuple(FockSpace(cutoff, self.guard) for cutoff in (self.cutoff, 16, 10, 32))
 
 
 @dataclass(frozen=True)
@@ -279,11 +293,8 @@ def trajectory_residuals(space: FockSpace, initial: QuantumState, times: np.ndar
 def run_checks(cfg: VerifyConfig) -> list[CheckResult]:
     """Run the whole invariant suite and return one result per check, in the
     order of ``CHECKS``."""
-    if cfg.samples < 1:
-        raise ValueError(f"samples must be at least 1, got {cfg.samples}")
+    space, small, fd_space, factor_space = cfg.spaces()
     rng = np.random.default_rng(cfg.seed)
-    space = FockSpace(cfg.cutoff, cfg.guard)
-    small = FockSpace(16, cfg.guard)
     draws = draw(rng, cfg.samples)
     scalar_draws = draw(rng, 10)
     resonant_draws = draw(rng, cfg.samples)
@@ -295,7 +306,7 @@ def run_checks(cfg: VerifyConfig) -> list[CheckResult]:
         **interaction_residuals(space, draws),
         **pinned_scalar_residuals(scalar_draws),
         **vacuum_sector_residuals(space, draws),
-        **resonant_residuals(FockSpace(10, cfg.guard), FockSpace(32, cfg.guard), resonant_draws),
+        **resonant_residuals(fd_space, factor_space, resonant_draws),
         **trajectory_residuals(small, initial, np.linspace(0.0, 10.0, 50)),
     }
     override = cfg.tol_override

@@ -128,6 +128,25 @@ def test_evolve_both_methods_agree(tmp_path, capsys):
     assert np.abs(closed - ref).max() < 1e-9
 
 
+def test_long_times_agree_on_both_routes(tmp_path, capsys):
+    # t g = 300 used to overflow the closed form into a traceback.
+    argv = ["--cutoff", "12", "--t", "300", "--method", "both"]
+    assert main(["build", *argv, "--out", str(tmp_path / "u.txt")]) == 0
+    assert main(["evolve", *argv, "--out", str(tmp_path / "e.txt")]) == 0
+    printed = capsys.readouterr().out
+    diffs = [float(line.split(": ")[1]) for line in printed.splitlines() if "closed vs oracle" in line]
+    assert len(diffs) == 2
+    assert max(diffs) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["build", "evolve"])
+def test_non_finite_closed_form_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    assert main([command, "--cutoff", "8", "--t", "1e308", "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_atomic_bitstring(tmp_path):
     out = tmp_path / "traj.txt"
     code = main(

@@ -2,14 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tc4.fock import (
     FockSpace,
     NumberFunction,
-    entire_cos,
-    entire_sinc,
     ladder,
     number_fn_term,
     safe_indices,
@@ -88,48 +84,6 @@ def test_number_fn_term_validation():
         number_fn_term(SPACE, one, 0, 5, "lower")
     with pytest.raises(ValueError, match="nonnegative"):
         number_fn_term(SPACE, one, 0, -1, "lower")
-
-
-def test_entire_trig_closed_values():
-    for t in (0.0, 0.3, 1.7):
-        assert entire_cos(4.0, t) == pytest.approx(math.cos(2.0 * t), abs=1e-15)
-        assert entire_cos(0.0, t) == 1.0
-        assert entire_cos(-4.0, t) == pytest.approx(math.cosh(2.0 * t), abs=1e-14)
-        assert entire_sinc(4.0, t) == pytest.approx(math.sin(2.0 * t) / 2.0, abs=1e-15)
-        assert entire_sinc(0.0, t) == t
-        assert entire_sinc(-4.0, t) == pytest.approx(math.sinh(2.0 * t) / 2.0, abs=1e-14)
-
-
-def series_cos(lam, x, terms=20):
-    # cos(x sqrt(lam)) has only integer powers of lam, hence entire in it
-    total = 0.0
-    for k in range(terms):
-        total += (-1.0) ** k * lam**k * x ** (2 * k) / math.factorial(2 * k)
-    return total
-
-
-def series_sinc(lam, x, terms=20):
-    total = 0.0
-    for k in range(terms):
-        total += (-1.0) ** k * lam**k * x ** (2 * k + 1) / math.factorial(2 * k + 1)
-    return total
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-6.0, 6.0), st.floats(0.0, 1.0))
-def test_entire_trig_against_power_series(lam, x):
-    assert entire_cos(lam, x) == pytest.approx(series_cos(lam, x), abs=1e-10)
-    assert entire_sinc(lam, x) == pytest.approx(series_sinc(lam, x), abs=1e-10)
-
-
-def test_entire_trig_continuous_across_zero():
-    # Taylor bounds at lam = 1e-8, x = 10: the cosine deviates from the
-    # lam = 0 value by x^2 |lam| / 2 = 5e-7 and the sinc by
-    # |x|^3 |lam| / 6 = 1.7e-6, so the branches meet to that accuracy.
-    for x in np.linspace(-10.0, 10.0, 41):
-        for lam in (1e-8, -1e-8):
-            assert abs(entire_cos(lam, x) - 1.0) < 1e-6
-            assert abs(entire_sinc(lam, x) - x) < 2e-6
 
 
 def test_safe_indices_layout():

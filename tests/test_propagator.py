@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tc4.fock import FockSpace, safe_indices
+from tc4.fock import FockSpace, NumberFunction, number_fn_term, safe_indices
 from tc4.linalg import op_norm_diff
 from tc4.model import (
     ModelParams,
@@ -14,6 +14,7 @@ from tc4.model import (
 )
 from tc4.oracle import evolution, exp_in_sectors, interaction_evolution, sector_partition
 from tc4.propagator import (
+    _GRID,
     exp_spin1_block,
     exp_spin2_block,
     full_propagator,
@@ -104,6 +105,33 @@ def test_spin2_block_at_zero_time_is_identity():
     np.testing.assert_allclose(
         exp_spin2_block(0.0, 1.7, SPACE), np.eye(5 * 24, dtype=complex), atol=1e-15
     )
+
+
+def test_amplitudes_refuse_non_finite_results():
+    for t in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="not finite"):
+            spin2_amplitudes(t, 1.0, np.arange(-2, 10))
+
+
+def test_spin2_block_matches_term_by_term_assembly():
+    # Reference: every grid term as a matrix from number_fn_term, with the
+    # amplitudes evaluated one argument at a time, summed block by block.
+    m = SPACE.cutoff
+    for t, g in seeded_draws(2):
+        for printed in (False, True):
+
+            def amp(name):
+                return NumberFunction(
+                    lambda k: getattr(spin2_amplitudes(t, g, k, printed), name), name
+                )
+
+            ref = np.zeros((5 * m, 5 * m), dtype=complex)
+            for row, col, name, shift, power, side, coef in _GRID:
+                block = ref[row * m : (row + 1) * m, col * m : (col + 1) * m]
+                block += coef * number_fn_term(SPACE, amp(name), shift, power, side)
+            np.testing.assert_allclose(
+                exp_spin2_block(t, g, SPACE, printed), ref, rtol=1e-14, atol=1e-15
+            )
 
 
 def test_spin2_block_matches_sector_oracle():
@@ -234,3 +262,12 @@ def test_full_propagator_solves_equation_of_motion():
     diff = (full_propagator(0.7 + step, p) - full_propagator(0.7 - step, p)) / (2 * step)
     residual = op_norm_diff(1j * diff, h @ full_propagator(0.7, p), band)
     assert residual < 1e-6
+
+
+@pytest.mark.parametrize("tg", [150.0, 1000.0])
+def test_full_propagator_matches_oracle_at_long_times(tg):
+    # The closed form used to overflow past t g ~ 136.
+    band = safe_indices(SPACE, 16)
+    for g in (1.0, 0.6):
+        p = ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=SPACE)
+        assert op_norm_diff(full_propagator(tg / g, p), evolution(tg / g, p), band) < 1e-9

@@ -37,6 +37,8 @@ def test_every_traced_layer_resolves():
 
 
 def test_sized_layers_bind_their_arguments():
+    # Each propagator builder is called directly, so the tracer must bind its
+    # real argument names (p, space, reg, times) to size the computed counts.
     tracing, modules = load_tracing()
     space = FockSpace(8)
     p = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=space)
@@ -44,9 +46,21 @@ def test_sized_layers_bind_their_arguments():
     with tracing.Tracer(modules) as tracer:
         for method in ("closed", "oracle"):
             modules["dynamics"].trajectory(p, init, np.array([0.0, 0.5]), method=method)
+        modules["propagator"].full_propagator(0.5, p)
+        modules["propagator"].interaction_propagator(0.5, 1.0, space)
+        modules["oracle"].evolution(0.5, p)
         modules["oracle"].interaction_evolution(0.5, 1.0, AtomRegister(2), space)
     summary = tracing.summarize(tracer.spans)
-    assert summary["dynamics.operators_per_point"] == 1.0
-    assert summary["propagator.interaction_propagator.calls"] == 2
+    # Trajectories propagate states: no propagator is built for a time point.
+    assert summary["dynamics.trajectory.calls"] == 2
+    assert summary["dynamics.operators_per_point"] == 0.0
+    assert summary["propagator.full_propagator.calls"] == 1
+    assert summary["propagator.interaction_propagator.calls"] == 2  # one inside full_propagator
+    assert summary["oracle.evolution.calls"] == 1
     assert summary["oracle.interaction_evolution.calls"] == 1
-    assert summary["propagator.basis_change.flop"] > 0
+    # Two dense 128 x 128 products per interaction_propagator call.
+    assert summary["propagator.basis_change.flop"] == 2 * (2 * 8 * 128**3)
+    assert summary["propagator.basis_change.bytes"] == 2 * (2 * 3 * 16 * 128**2)
+    # Three top-level builders on 16 levels and one on the two-atom register.
+    useful = 3 * (tracing.sector_dims(16, 8) ** 2).sum() + (tracing.sector_dims(4, 8) ** 2).sum()
+    assert summary["propagator.useful_entry_ratio"] == useful / (3 * 128**2 + 32**2)

@@ -27,17 +27,36 @@ def test_run_checks_refuses_zero_samples(capsys):
     assert "argument --samples:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"cutoff": 5}, "cutoff must be at least 8"),
+        ({"guard": 12}, "guard 12 leaves no usable states below cutoff 10"),
+        ({"guard": 4}, "guard must be at least 6"),
+    ],
+)
+def test_verify_refuses_unusable_truncations(capsys, config, message):
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**config)
+    [(flag, value)] = config.items()
+    with pytest.raises(SystemExit) as err:
+        main(["verify", f"--{flag}", str(value)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_shared_residuals_catch_the_printed_closed_form(monkeypatch):
     # The acceptance gate and the verify battery share these functions, so
     # they must still fail when the closed form is wrong: swap in the
-    # misprinted spin-2 block everywhere the battery looks it up.
-    exact = tc4.propagator.exp_spin2_block
+    # misprinted amplitudes everywhere they are looked up, which every
+    # closed-form route, operator or state, goes through.
+    exact = tc4.propagator.spin2_amplitudes
 
-    def printed(t, g, space, printed=False):
-        return exact(t, g, space, printed=True)
+    def printed(t, g, m, printed=False):
+        return exact(t, g, m, printed=True)
 
-    monkeypatch.setattr(tc4.propagator, "exp_spin2_block", printed)
-    monkeypatch.setattr(tc4.verify, "exp_spin2_block", printed)
+    monkeypatch.setattr(tc4.propagator, "spin2_amplitudes", printed)
+    monkeypatch.setattr(tc4.verify, "spin2_amplitudes", printed)
     space = FockSpace(16)
     draws = draw(np.random.default_rng(1234), 2)
     assert spin2_block_residuals(space, draws)["spin2_closed_vs_oracle"] > 0.1
