@@ -1,10 +1,12 @@
 """Four-atom Tavis-Cummings evolution in closed form, with an independent
 sector-exact oracle and cavity-QED observables.
 
-The closed form and the oracle share no exponentiation code; every
-propagator the package emits can be cross-checked between the two routes
-on the guard band of the photon truncation.  The package namespace holds
-what a typical run needs; import everything else from its module.
+The spin-2 closed form, the only block with a hand-written formula, is
+independent of the oracle; the spin-1 blocks reuse the oracle's sector
+eigensystems.  Every propagator the package emits can be cross-checked
+between the two routes on the guard band of the photon truncation.  The
+package namespace holds what a typical run needs; import everything else
+from its module.
 """
 
 from .fock import FockSpace

@@ -110,6 +110,17 @@ def sector_spectra(
     return out
 
 
+def _phases(scale: complex | np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``exp(scale * w)``; a non-finite phase (a time so large that
+    ``scale * w`` overflows) raises ``ValueError`` naming the scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(scale * w)
+    if not np.isfinite(out).all():
+        worst = float(np.abs(scale).max())
+        raise ValueError(f"sector phase exp(scale * w) is not finite at |scale| up to {worst!r}")
+    return out
+
+
 def exp_in_sectors(op: np.ndarray, sector_list: list[SectorBasis], scale: complex) -> np.ndarray:
     """Exponential ``exp(scale * op)`` of a sector-block-diagonal operator,
     ``V exp(scale w) V^dag`` in each sector (see ``sector_spectra``)."""
@@ -118,7 +129,7 @@ def exp_in_sectors(op: np.ndarray, sector_list: list[SectorBasis], scale: comple
         # einsum, not a stacked matmul: on an Intel Xeon with AVX-512 the
         # stacked complex matmul (OpenBLAS small-matrix kernels) left later
         # float formatting in the process ~40% slower, and with it `tc4 build`.
-        blocks = np.einsum("kij,kj,klj->kil", v, np.exp(scale * w), v.conj())
+        blocks = np.einsum("kij,kj,klj->kil", v, _phases(scale, w), v.conj())
         out[idx[:, :, None], idx[:, None, :]] = blocks
     return out
 
@@ -138,7 +149,7 @@ def evolve_in_sectors(
     out = np.zeros((len(scales), *cols.shape), dtype=complex)
     for idx, w, v in sector_spectra(op, sector_list):
         coeffs = np.einsum("kji,kjc->kic", v.conj(), cols[idx])
-        phases = np.exp(scales[:, None, None] * w[None])
+        phases = _phases(scales[:, None, None], w[None])
         out[:, idx] = np.einsum("kij,tkj,kjc->tkic", v, phases, coeffs)
     return out.reshape(len(scales), *psi.shape)
 

@@ -14,12 +14,14 @@ pairs) and weight coefficients.  Amplitudes are evaluated on whole arrays
 of times and arguments, and the grid of terms is applied to vectors, so a
 trajectory (``full_states``) propagates its state over every time at once
 without forming a propagator; the operator (``full_propagator``) is the
-same action applied to the identity.
+same action applied to the identity, so no dense change of basis is
+ever formed.
 
 Two entries of the published amplitude table this reproduces are
 misprinted; see CORRECTIONS.md at the repository root.  The corrected
 forms are the default, the misprinted ones stay available behind
-``printed=True`` so the failure is demonstrable.
+``printed=True`` of ``spin2_amplitudes`` and ``exp_spin2_block`` so the
+failure is demonstrable.
 """
 
 from __future__ import annotations
@@ -203,49 +205,37 @@ def spin2_amplitudes(
 
 
 # Layout of the spin-2 block exponential over the five projection levels,
-# ordered by descending projection.  Each entry is
-# (row, col, amplitude, argument shift, ladder power, ladder side); the
-# first table fills the even checkerboard, the second the odd one, whose
-# terms carry an extra prefactor and a global factor -i.
-_COS_GRID = (
-    (0, 0, "stay_pp", 2, 0, "diagonal"),
-    (1, 1, "stay_p", 1, 0, "diagonal"),
-    (2, 2, "stay_0", 0, 0, "diagonal"),
-    (3, 3, "stay_m", -1, 0, "diagonal"),
-    (4, 4, "stay_mm", -2, 0, "diagonal"),
-    (0, 2, "hop2_p", 2, 2, "lower"),
-    (2, 0, "hop2_p", 0, 2, "raise"),
-    (1, 3, "hop2_0", 1, 2, "lower"),
-    (3, 1, "hop2_0", -1, 2, "raise"),
-    (2, 4, "hop2_m", 0, 2, "lower"),
-    (4, 2, "hop2_m", -2, 2, "raise"),
-    (0, 4, "hop4", 2, 4, "lower"),
-    (4, 0, "hop4", -2, 4, "raise"),
-)
-_SIN_GRID = (
-    (0, 1, "hop1_pp", 2, 1, "lower", 2.0),
-    (1, 0, "hop1_pp", 1, 1, "raise", 2.0),
-    (1, 2, "hop1_p", 1, 1, "lower", 0.5),
-    (2, 1, "hop1_p", 0, 1, "raise", 0.5),
-    (2, 3, "hop1_m", 0, 1, "lower", 0.5),
-    (3, 2, "hop1_m", -1, 1, "raise", 0.5),
-    (3, 4, "hop1_mm", -1, 1, "lower", 2.0),
-    (4, 3, "hop1_mm", -2, 1, "raise", 2.0),
-    (0, 3, "hop3", 2, 3, "lower", 2.0),
-    (3, 0, "hop3", -1, 3, "raise", 2.0),
-    (1, 4, "hop3", 1, 3, "lower", 2.0),
-    (4, 1, "hop3", -2, 3, "raise", 2.0),
-)
-
-
-# Both grids as (row, col, amplitude, argument shift, ladder power, ladder
-# side, coefficient): the even terms enter with 1, the odd ones with -i
-# times their prefactor.
+# ordered by descending projection.  Each entry is (row, col, amplitude,
+# argument shift, ladder step, coefficient): a positive step lowers the
+# photon number by that many quanta, a negative one raises it.  The even
+# checkerboard enters with 1, the odd one with -i times a prefactor.
 _GRID = (
-    *((*entry, 1.0) for entry in _COS_GRID),
-    *((*entry[:-1], -1j * entry[-1]) for entry in _SIN_GRID),
+    (0, 0, "stay_pp", 2, 0, 1.0),
+    (1, 1, "stay_p", 1, 0, 1.0),
+    (2, 2, "stay_0", 0, 0, 1.0),
+    (3, 3, "stay_m", -1, 0, 1.0),
+    (4, 4, "stay_mm", -2, 0, 1.0),
+    (0, 2, "hop2_p", 2, 2, 1.0),
+    (2, 0, "hop2_p", 0, -2, 1.0),
+    (1, 3, "hop2_0", 1, 2, 1.0),
+    (3, 1, "hop2_0", -1, -2, 1.0),
+    (2, 4, "hop2_m", 0, 2, 1.0),
+    (4, 2, "hop2_m", -2, -2, 1.0),
+    (0, 4, "hop4", 2, 4, 1.0),
+    (4, 0, "hop4", -2, -4, 1.0),
+    (0, 1, "hop1_pp", 2, 1, -2j),
+    (1, 0, "hop1_pp", 1, -1, -2j),
+    (1, 2, "hop1_p", 1, 1, -0.5j),
+    (2, 1, "hop1_p", 0, -1, -0.5j),
+    (2, 3, "hop1_m", 0, 1, -0.5j),
+    (3, 2, "hop1_m", -1, -1, -0.5j),
+    (3, 4, "hop1_mm", -1, 1, -2j),
+    (4, 3, "hop1_mm", -2, -1, -2j),
+    (0, 3, "hop3", 2, 3, -2j),
+    (3, 0, "hop3", -1, -3, -2j),
+    (1, 4, "hop3", 1, 3, -2j),
+    (4, 1, "hop3", -2, -3, -2j),
 )
-_LADDER_STEP = {"lower": 1, "raise": -1, "diagonal": 0}
 
 
 def _spin2_action(
@@ -263,8 +253,8 @@ def _spin2_action(
     m_dim = vecs.shape[1]
     amps = spin2_amplitudes(times[:, None], g, np.arange(-2, m_dim + 2), printed)
     out = np.zeros((len(times), *vecs.shape), dtype=complex)
-    for row, col, name, shift, power, side, coef in _GRID:
-        step = power * _LADDER_STEP[side]
+    for row, col, name, shift, step, coef in _GRID:
+        power = abs(step)
         rows = np.arange(max(0, -step), m_dim - max(0, step))
         top = rows + max(step, 0)  # the larger photon number of each transition
         ladder = np.sqrt(np.prod([top - k for k in range(power)], axis=0))
@@ -295,55 +285,51 @@ def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
     return exp_in_sectors(*_spin1_generator(space), -1j * t * g)
 
 
-def interaction_propagator(
-    t: float, g: float, space: FockSpace, printed: bool = False
-) -> np.ndarray:
-    """Closed-form ``exp(-i t g A)`` for the four-atom interaction.
-
-    Assembles the block exponentials in the transformed basis and
-    conjugates back with the constant basis change.
-    """
-    m = space.cutoff
-    core = np.eye(16 * m, dtype=complex)
-    eb2 = exp_spin2_block(t, g, space, printed)
-    eb1 = exp_spin1_block(t, g, space)
-    for blk in BLOCK_LAYOUT:
-        sl = slice(blk.start * m, blk.stop * m)
-        if blk.kind == "spin1":
-            core[sl, sl] = eb1
-        elif blk.kind == "spin2":
-            core[sl, sl] = eb2
-    big = np.kron(transform_t(), np.eye(m))
-    return big @ core @ big.T
+def _rotate(t_mat: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """The real ``t_mat`` applied to the first axis of a complex array, as
+    one real product on its float view (a complex matmul here can slow later
+    float formatting; see ``oracle.exp_in_sectors``)."""
+    flat = np.ascontiguousarray(core).view(float).reshape(len(core), -1)
+    return (t_mat @ flat).view(complex).reshape(core.shape)
 
 
 def interaction_states(
     times: np.ndarray, g: float, space: FockSpace, psi: np.ndarray
 ) -> np.ndarray:
     """Closed-form ``exp(-i t g A) psi`` for every time of the 1-D array
-    ``times``, one row per time, without forming a propagator.
+    ``times``.
 
-    The state is rotated into the block basis once.  The zero blocks keep
-    their components, the spin-1 blocks evolve from one eigendecomposition
-    per sector, the spin-2 block through its closed form applied to the
-    vector, and the result is rotated back.
+    ``psi`` is one vector or a matrix of column vectors; the result has a
+    leading axis over ``times`` and then the shape of ``psi``.  The columns
+    are rotated into the block basis once, on the register axis only.  The
+    zero blocks keep their components, the spin-1 blocks evolve from one
+    eigendecomposition per sector, the spin-2 block through its closed form
+    applied to the columns, and the result is rotated back.
     """
     m = space.cutoff
     t_mat = transform_t()
-    core = t_mat.T @ psi.reshape(16, m)
-    out = np.empty((len(times), 16, m), dtype=complex)
+    core = _rotate(t_mat.T, np.asarray(psi, dtype=complex).reshape(16, m, -1))
+    k = core.shape[2]
+    out = np.empty((16, len(times), m, k), dtype=complex)
     for blk in BLOCK_LAYOUT:
         sl = slice(blk.start, blk.stop)
         if blk.kind == "zero":
-            out[:, sl] = core[sl]
+            out[sl] = core[sl, None]
         elif blk.kind == "spin2":
-            out[:, sl] = _spin2_action(times, g, core[sl, :, None])[..., 0]
+            out[sl] = _spin2_action(times, g, core[sl]).swapaxes(0, 1)
     spin1 = [slice(b.start, b.stop) for b in BLOCK_LAYOUT if b.kind == "spin1"]
-    cols = np.stack([core[sl].ravel() for sl in spin1], axis=1)
+    cols = np.stack([core[sl].reshape(3 * m, k) for sl in spin1], axis=1)
     moved = evolve_in_sectors(*_spin1_generator(space), -1j * g * times, cols)
-    for k, sl in enumerate(spin1):
-        out[:, sl] = moved[:, :, k].reshape(len(times), 3, m)
-    return np.einsum("ab,tbm->tam", t_mat, out).reshape(len(times), 16 * m)
+    for j, sl in enumerate(spin1):
+        out[sl] = moved[:, :, j].reshape(len(times), 3, m, k).swapaxes(0, 1)
+    return _rotate(t_mat, out).swapaxes(0, 1).reshape(len(times), *psi.shape)
+
+
+def interaction_propagator(t: float, g: float, space: FockSpace) -> np.ndarray:
+    """Closed-form ``exp(-i t g A)`` for the four-atom interaction: the
+    state route ``interaction_states`` applied to the identity."""
+    ident = np.eye(16 * space.cutoff, dtype=complex)
+    return interaction_states(np.array([float(t)]), g, space, ident)[0]
 
 
 def _free_phases(t: float | np.ndarray, p: ModelParams) -> np.ndarray:
@@ -362,7 +348,7 @@ def _require_resonance(p: ModelParams) -> None:
         )
 
 
-def full_propagator(t: float, p: ModelParams, printed: bool = False) -> np.ndarray:
+def full_propagator(t: float, p: ModelParams) -> np.ndarray:
     """Resonant propagator ``exp(-i t H)`` as free part times interaction part.
 
     The factorization holds only at exact resonance; off resonance the
@@ -373,7 +359,7 @@ def full_propagator(t: float, p: ModelParams, printed: bool = False) -> np.ndarr
     """
     _require_resonance(p)
     if p.atoms == 4:
-        inter = interaction_propagator(t, p.g, p.space, printed)
+        inter = interaction_propagator(t, p.g, p.space)
     else:
         inter = interaction_evolution(t, p.g, p.register, p.space)
     return _free_phases(t, p)[:, None] * inter

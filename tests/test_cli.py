@@ -147,6 +147,16 @@ def test_non_finite_closed_form_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "evolve"])
+def test_non_finite_oracle_exits_2(tmp_path, capsys, command):
+    # The sector phases overflow; the error names the scale, not a NaN norm.
+    out = tmp_path / "out.txt"
+    argv = [command, "--method", "oracle", "--cutoff", "8", "--t", "1e308", "--out", str(out)]
+    assert main(argv) == 2
+    assert "sector phase exp(scale * w) is not finite at |scale| up to 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_atomic_bitstring(tmp_path):
     out = tmp_path / "traj.txt"
     code = main(

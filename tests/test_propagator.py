@@ -126,9 +126,10 @@ def test_spin2_block_matches_term_by_term_assembly():
                 )
 
             ref = np.zeros((5 * m, 5 * m), dtype=complex)
-            for row, col, name, shift, power, side, coef in _GRID:
+            for row, col, name, shift, step, coef in _GRID:
+                side = "lower" if step > 0 else "raise" if step < 0 else "diagonal"
                 block = ref[row * m : (row + 1) * m, col * m : (col + 1) * m]
-                block += coef * number_fn_term(SPACE, amp(name), shift, power, side)
+                block += coef * number_fn_term(SPACE, amp(name), shift, abs(step), side)
             np.testing.assert_allclose(
                 exp_spin2_block(t, g, SPACE, printed), ref, rtol=1e-14, atol=1e-15
             )

@@ -58,7 +58,9 @@ def test_sized_layers_bind_their_arguments():
     assert summary["propagator.interaction_propagator.calls"] == 2  # one inside full_propagator
     assert summary["oracle.evolution.calls"] == 1
     assert summary["oracle.interaction_evolution.calls"] == 1
-    # Two dense 128 x 128 products per interaction_propagator call.
+    # The tracer computes basis_change.flop and .bytes from a formula per
+    # interaction_propagator call (two dense 128 x 128 products), not from
+    # the work done: the basis change now acts on the register axis only.
     assert summary["propagator.basis_change.flop"] == 2 * (2 * 8 * 128**3)
     assert summary["propagator.basis_change.bytes"] == 2 * (2 * 3 * 16 * 128**2)
     # Three top-level builders on 16 levels and one on the two-atom register.
