@@ -2,8 +2,12 @@
 
 Output files are plain text with a commented header naming every
 parameter, all floats printed at full precision, so a fixed configuration
-reproduces byte-identical files.  Exit codes: 0 success, 1 verification
-failure, 2 configuration error.
+reproduces byte-identical files.  One writer streams both kinds of file a
+row at a time; it prints each entry as ``f"{x:.17e}"`` does, but writes an
+exact zero as a constant chosen by its sign bit instead of formatting it
+(most operator entries are zeros, since excitation number is conserved).  Exit
+codes: 0 success, 1 verification failure, 2 configuration error or an
+unwritable output file.
 """
 
 from __future__ import annotations
@@ -135,15 +139,24 @@ def _header(kind: str, cfg: RunConfig, extra: list[str]) -> list[str]:
     return lines + extra
 
 
-def _write_operator(path: Path, u: np.ndarray, cfg: RunConfig, method: str) -> None:
-    lines = _header(
-        "operator",
-        cfg,
-        [f"# t {_fmt(cfg.t)}", f"# variant {method}", f"# rows {u.shape[0]}", f"# cols {u.shape[1]}"],
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write ``header``, then the real 2-D ``table`` one formatted row at a time.
+
+    Each entry reads as ``_fmt`` prints it, the sign of zero included.  A
+    row becomes one ``%`` template in which an exact zero is literal text
+    picked by its sign bit and every other entry a ``%.17e`` slot, so only
+    nonzero entries are formatted.
+    """
+    cells = np.array(
+        ["0.00000000000000000e+00", "-0.00000000000000000e+00", "%.17e", "%.17e"], dtype=object
     )
-    for row in u:
-        lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
-    path.write_text("\n".join(lines) + "\n")
+    nonzero = table != 0
+    codes = 2 * nonzero.astype(np.uint8) + np.signbit(table)  # indices into cells
+    with path.open("w") as out:
+        out.write("\n".join(header) + "\n")
+        for row, mask, code in zip(table, nonzero, codes):
+            template = " ".join(cells[code].tolist())
+            out.write(template % tuple(row[mask].tolist()) + "\n")
 
 
 def _split_out(out: str, variant: str) -> Path:
@@ -159,23 +172,22 @@ def _build_u(cfg: RunConfig, variant: str) -> np.ndarray:
 
 def cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cfg = _run_config(parser, args, args.t)
+    both = cfg.method == "both"
     try:
-        if cfg.method == "both":
-            u_closed = _build_u(cfg, "closed")
-            u_oracle = _build_u(cfg, "oracle")
-            for variant, u in (("closed", u_closed), ("oracle", u_oracle)):
-                path = _split_out(args.out, variant)
-                _write_operator(path, u, cfg, variant)
-                print(f"wrote {path}")
-            band = safe_indices(cfg.space, AtomRegister(cfg.atoms).levels)
-            diff = op_norm_diff(u_closed, u_oracle, band)
-            print(f"guard-band max diff closed vs oracle: {diff:.3e}")
-        else:
-            u = _build_u(cfg, cfg.method)
-            path = Path(args.out)
-            _write_operator(path, u, cfg, cfg.method)
+        ops = {v: _build_u(cfg, v) for v in (("closed", "oracle") if both else (cfg.method,))}
+        for variant, u in ops.items():
+            path = _split_out(args.out, variant) if both else Path(args.out)
+            rows, cols = u.shape
+            extra = [f"# t {_fmt(cfg.t)}", f"# variant {variant}", f"# rows {rows}", f"# cols {cols}"]
+            header = _header("operator", cfg, extra)
+            # The float view alternates real and imaginary parts along each row.
+            _write_table(path, header, np.ascontiguousarray(u).view(np.float64))
             print(f"wrote {path}")
-    except ValueError as err:
+        if both:
+            band = safe_indices(cfg.space, AtomRegister(cfg.atoms).levels)
+            diff = op_norm_diff(ops["closed"], ops["oracle"], band)
+            print(f"guard-band max diff closed vs oracle: {diff:.3e}")
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0
@@ -245,36 +257,24 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         traj = trajectory(cfg.params, initial, times, method=method)
         return np.column_stack([traj.times, traj.inversion, traj.photon[:, :cols]])
 
-    header_extra = [
+    extra = [
         f"# state {args.state}",
         f"# atomic {args.atomic}",
         f"# points {len(times)}",
         "# columns t inversion " + " ".join(f"p{k}" for k in range(cols)),
     ]
-
-    def write(path: Path, data: np.ndarray, variant: str) -> None:
-        lines = _header("trajectory", cfg, [f"# variant {variant}"] + header_extra)
-        for row in data:
-            lines.append(" ".join(_fmt(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-
+    both = cfg.method == "both"
     try:
-        if cfg.method == "both":
-            data_closed = table("closed")
-            data_oracle = table("oracle")
-            for variant, data in (("closed", data_closed), ("oracle", data_oracle)):
-                path = _split_out(args.out, variant)
-                write(path, data, variant)
-                print(f"wrote {path}")
-            print(
-                "max cell diff closed vs oracle: "
-                f"{float(np.abs(data_closed - data_oracle).max()):.3e}"
-            )
-        else:
-            data = table(cfg.method)
-            write(Path(args.out), data, cfg.method)
-            print(f"wrote {args.out}")
-    except ValueError as err:
+        tables = {v: table(v) for v in (("closed", "oracle") if both else (cfg.method,))}
+        for variant, data in tables.items():
+            path = _split_out(args.out, variant) if both else args.out
+            header = _header("trajectory", cfg, [f"# variant {variant}", *extra])
+            _write_table(Path(path), header, data)
+            print(f"wrote {path}")
+        if both:
+            diff = float(np.abs(tables["closed"] - tables["oracle"]).max())
+            print(f"max cell diff closed vs oracle: {diff:.3e}")
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0
@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     ver.add_argument("--guard", type=int, default=6)
     ver.add_argument("--samples", type=_bounded(int, 1), default=5)
     ver.add_argument("--seed", type=int, default=1234)
-    ver.add_argument("--tol-override", type=float, default=None)
+    ver.add_argument("--tol-override", type=_bounded(float, 0), default=None)
 
     args = parser.parse_args(argv)
     if args.command == "build":

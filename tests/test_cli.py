@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from tc4.cli import main
+from tc4.cli import _write_table, main
+from tc4.dynamics import coherent_state, product_state, trajectory
+from tc4.fock import FockSpace
+from tc4.model import ModelParams
+from tc4.oracle import evolution
+from tc4.propagator import full_propagator
+from tc4.spins import AtomRegister
 
 
 def read_operator(path):
@@ -21,6 +27,56 @@ def read_operator(path):
 def read_table(path):
     data = np.loadtxt(path)
     return np.atleast_2d(data)
+
+
+def reference_rows(table):
+    """The per-entry formatting the writer must reproduce byte for byte."""
+    return "".join(" ".join(f"{x:.17e}" for x in row) + "\n" for row in table)
+
+
+def split_header(text):
+    lines = text.splitlines(keepends=True)
+    count = sum(line.startswith("#") for line in lines)
+    assert all(line.startswith("#") for line in lines[:count])
+    return "".join(lines[:count]), "".join(lines[count:])
+
+
+def test_write_table_matches_per_entry_formatting(tmp_path):
+    big = 1.7976931348623157e308
+    table = np.array(
+        [
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-100],
+            [1e100, big, -big, -1.0, 0.1, -0.0],
+            [0.0, -0.0, 0.0, 0.0, -0.0, -0.0],
+            [1.0, -2.5, 3e-7, 123456789.125, -1e-300, 2.0 / 3.0],
+        ]
+    )
+    out = tmp_path / "table.txt"
+    _write_table(out, ["# first", "# second"], table)
+    assert out.read_text() == "# first\n# second\n" + reference_rows(table)
+
+
+def test_cli_files_match_per_entry_formatting(tmp_path):
+    space = FockSpace(8, 6)
+    p = ModelParams(omega=1.0, delta=1.0, g=1.0, atoms=4, space=space)
+
+    out = tmp_path / "u.txt"
+    assert main(["build", "--method", "both", "--cutoff", "8", "--out", str(out)]) == 0
+    for variant, u in (("closed", full_propagator(1.0, p)), ("oracle", evolution(1.0, p))):
+        header, body = split_header((tmp_path / f"u.{variant}.txt").read_text())
+        assert f"# variant {variant}\n" in header
+        assert body == reference_rows(u.view(np.float64))
+
+    out = tmp_path / "e.txt"
+    assert main(["evolve", "--method", "both", "--cutoff", "8", "--out", str(out)]) == 0
+    initial = product_state(0, coherent_state(0.0, space), AtomRegister(4), space)
+    times = np.linspace(0.0, 10.0, 201)
+    for variant in ("closed", "oracle"):
+        traj = trajectory(p, initial, times, method=variant)
+        table = np.column_stack([traj.times, traj.inversion, traj.photon])
+        header, body = split_header((tmp_path / f"e.{variant}.txt").read_text())
+        assert f"# variant {variant}\n" in header
+        assert body == reference_rows(table)
 
 
 def test_build_identity_at_zero_time(tmp_path):
@@ -260,3 +316,19 @@ def test_rejects_bad_numbers_naming_the_flag(tmp_path, capsys, argv, flag):
     assert err.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "evolve"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    out = tmp_path / target
+    assert main([command, "--cutoff", "8", "--t", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3"])
+def test_verify_rejects_bad_tolerance_override(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--cutoff", "16", "--samples", "1", f"--tol-override={value}"])
+    assert err.value.code == 2
+    assert "argument --tol-override:" in capsys.readouterr().err
