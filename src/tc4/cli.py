@@ -6,8 +6,8 @@ reproduces byte-identical files.  One writer streams both kinds of file a
 row at a time; it prints each entry as ``f"{x:.17e}"`` does, but writes an
 exact zero as a constant chosen by its sign bit instead of formatting it
 (most operator entries are zeros, since excitation number is conserved).  Exit
-codes: 0 success, 1 verification failure, 2 configuration error or an
-unwritable output file.
+codes: 0 success, 1 verification failure, 2 configuration error, an
+unwritable output file or a size beyond memory.
 """
 
 from __future__ import annotations
@@ -329,15 +329,16 @@ def main(argv: list[str] | None = None) -> int:
     ver.add_argument("--cutoff", type=int, default=40)
     ver.add_argument("--guard", type=int, default=6)
     ver.add_argument("--samples", type=_bounded(int, 1), default=5)
-    ver.add_argument("--seed", type=int, default=1234)
+    ver.add_argument("--seed", type=_bounded(int, 0), default=1234)
     ver.add_argument("--tol-override", type=_bounded(float, 0), default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "build":
-        return cmd_build(parser, args)
-    if args.command == "evolve":
-        return cmd_evolve(parser, args)
-    return cmd_verify(parser, args)
+    command = {"build": cmd_build, "evolve": cmd_evolve, "verify": cmd_verify}[args.command]
+    try:
+        return command(parser, args)
+    except MemoryError as err:
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

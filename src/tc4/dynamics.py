@@ -10,6 +10,7 @@ stays independently checkable against the oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,6 @@ __all__ = [
     "Trajectory",
     "coherent_state",
     "product_state",
-    "evolve",
-    "atomic_inversion",
-    "photon_distribution",
     "trajectory",
 ]
 
@@ -76,14 +74,19 @@ class Trajectory:
 def coherent_state(alpha: complex, space: FockSpace) -> np.ndarray:
     """Truncated coherent state of the mode, renormalized on the cutoff.
 
-    Refused when ``|alpha|^2`` exceeds half the photon numbers below the
-    guard band, because then the Poisson weight reaches into the corrupted
-    top of the spectrum; the error message names the cutoff that would
-    suffice.
+    Refused with ``ValueError`` when ``alpha`` is not finite, or when
+    ``|alpha|^2`` exceeds half the photon numbers below the guard band,
+    because then the Poisson weight reaches into the corrupted top of the
+    spectrum; the error message names the cutoff that would suffice.
     """
-    mean = abs(alpha) ** 2
-    if mean > (space.cutoff - space.guard) / 2.0:
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
+    try:
+        mean = abs(alpha) ** 2
         needed = math.ceil(2.0 * mean) + space.guard
+    except OverflowError:
+        raise ValueError(f"coherent amplitude {alpha!r} is too large for any cutoff") from None
+    if mean > (space.cutoff - space.guard) / 2.0:
         raise ValueError(
             f"coherent amplitude |alpha|^2 = {mean:.3f} too large for cutoff "
             f"{space.cutoff}; need a cutoff of at least {needed}"
@@ -115,28 +118,6 @@ def product_state(
     if abs(np.linalg.norm(state.amplitudes) - 1.0) > 1e-9:
         raise ValueError("prepared state failed to normalize to 1e-9")
     return state
-
-
-def evolve(state: QuantumState, u: np.ndarray) -> QuantumState:
-    """Apply a propagator to a state."""
-    return QuantumState(amplitudes=u @ state.amplitudes, levels=state.levels)
-
-
-def atomic_inversion(state: QuantumState) -> float:
-    """Expectation of the collective inversion ``S3``.
-
-    Ranges from ``-n/2`` to ``n/2``; diagonal in the register basis, so it
-    reads directly off the populations.
-    """
-    reg_size = state.levels.bit_length() - 1
-    halves = np.repeat(twice_s3(AtomRegister(reg_size)), state.photon_dim) / 2.0
-    return float(np.sum(halves * np.abs(state.amplitudes) ** 2))
-
-
-def photon_distribution(state: QuantumState) -> np.ndarray:
-    """Photon-number probabilities, marginalized over the register."""
-    probs = np.abs(state.amplitudes.reshape(state.levels, state.photon_dim)) ** 2
-    return probs.sum(axis=0)
 
 
 def trajectory(

@@ -2,11 +2,13 @@
 
 Total excitation number is conserved, truncation included, so both the
 Hamiltonian and the bare interaction split into small sectors of fixed
-excitation.  Exponentiating each sector by dense eigendecomposition gives
-a reference propagator whose only approximation is the photon cutoff
-itself; the same sector eigensystems propagate a state over a whole time
-grid without forming any propagator.  Nothing here shares code with the
-closed-form amplitudes; that independence is the point.
+excitation.  Each sector block is assembled straight from the ladder
+weights, so no dense generator is formed; the leak check runs on the
+register's raising matrix.  Exponentiating each block by dense
+eigendecomposition gives a reference propagator whose only approximation is
+the photon cutoff; the same eigensystems propagate a state over a whole
+time grid without forming any propagator.  Nothing here shares code with
+the closed-form amplitudes; that independence is the point.
 """
 
 from __future__ import annotations
@@ -16,20 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .model import ModelParams, hamiltonian, interaction
-from .spins import AtomRegister, twice_s3
+from .model import ModelParams
+from .spins import AtomRegister, collective, twice_s3
 
 __all__ = [
     "SectorBasis",
     "sector_partition",
     "sectors",
+    "sector_blocks",
     "sector_spectra",
     "exp_in_sectors",
+    "exp_operator",
     "evolve_in_sectors",
     "interaction_evolution",
     "evolution",
     "evolution_states",
 ]
+
+# Per sector dimension d: the k sectors' basis indices (k, d) and blocks (k, d, d).
+Blocks = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -72,41 +79,55 @@ def sectors(reg: AtomRegister, space: FockSpace) -> list[SectorBasis]:
     return sector_partition(twice_s3(reg), space)
 
 
-def sector_spectra(
-    op: np.ndarray, sector_list: list[SectorBasis]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigendecompose every sector block of a sector-block-diagonal Hermitian
-    operator, one batched ``eigh`` per sector dimension ``d``.  Returns, per
-    dimension, the ``k`` sectors' basis indices ``(k, d)``, eigenvalues
-    ``(k, d)`` and eigenvectors ``(k, d, d)``.
-
-    Every entry of ``op`` connecting different sectors must vanish; a
-    violation above 1e-12 is reported with its index pair rather than
-    silently projected away.  A sector block further than 1e-12 from
-    Hermitian is refused too.
+def sector_blocks(
+    plus: np.ndarray, weights: np.ndarray, space: FockSpace, omega=0.0, delta=0.0, g=1.0
+) -> Blocks:
+    """Sector blocks of ``omega (1 x N) + delta (S3 x 1) + g (S+ x a + S- x a_dag)``
+    for the register raising matrix ``plus`` and doubled ``S3`` diagonal
+    ``weights``: per sector dimension, ascending, the sectors' indices as
+    ``sector_partition`` orders them and their complex blocks.  A nonzero
+    ``S+[b', b]`` with ``w[b'] != w[b] + 2`` would couple two sectors; it
+    raises ``ValueError`` naming the pair.
     """
-    dim = op.shape[0]
-    keys = np.empty(dim, dtype=int)
-    for sec in sector_list:
-        keys[sec.indices] = sec.key
-    leak = np.abs(np.where(keys[:, None] != keys[None, :], op, 0.0))
-    worst = float(leak.max())
-    if worst > 1e-12:
-        row, col = np.unravel_index(int(leak.argmax()), leak.shape)
+    weights = np.asarray(weights, dtype=int)
+    raised, lowered = np.nonzero(plus)
+    leaks = weights[raised] != weights[lowered] + 2
+    if leaks.any():
+        row, col = raised[leaks][0], lowered[leaks][0]
         raise ValueError(
-            f"operator leaks between sectors: |op[{row}, {col}]| = {worst:.3e} "
-            "exceeds 1.0e-12"
+            f"raising matrix leaks between sectors: |S+[{row}, {col}]| = "
+            f"{abs(plus[row, col]):.3e} joins doubled weights {weights[col]} and {weights[row]}"
         )
+    secs = sector_partition(weights, space)
     out = []
-    for size in sorted({sec.dim for sec in sector_list}):
-        idx = np.array([sec.indices for sec in sector_list if sec.dim == size])
-        blocks = op[idx[:, :, None], idx[:, None, :]]
-        defect = float(np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max())
+    for size in sorted({sec.dim for sec in secs}):
+        idx = np.array([sec.indices for sec in secs if sec.dim == size])
+        level, photons = np.divmod(idx, space.cutoff)
+        # (S+ x a)[i, j] = S+[b_i, b_j] a[n_i, n_j]; inside a sector S+ is
+        # nonzero only where n_i = n_j - 1, so a[n_i, n_j] = sqrt(n_j).
+        up = plus[level[:, :, None], level[:, None, :]] * np.sqrt(photons)[:, None, :]
+        number, spin = np.zeros((2, *up.shape), dtype=complex)
+        diag = np.arange(size)
+        number[:, diag, diag] = photons
+        spin[:, diag, diag] = weights[level] / 2
+        # The dense generator's terms in its order, so each block is its
+        # sector slice bit for bit, signed zeros included.
+        out.append((idx, omega * number + delta * spin + g * (up + up.conj().transpose(0, 2, 1))))
+    return out
+
+
+def sector_spectra(blocks: Blocks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sector dimension ``d``, the ``k`` sectors' indices ``(k, d)``,
+    eigenvalues ``(k, d)`` and eigenvectors ``(k, d, d)``, one batched
+    ``eigh`` each.  A block further than 1e-12 from Hermitian is refused."""
+    out = []
+    for idx, h in blocks:
+        defect = float(np.abs(h - h.conj().transpose(0, 2, 1)).max())
         if defect > 1e-12:
             raise ValueError(
                 f"generator is not Hermitian: max|h - h^dag| = {defect:.3e} exceeds 1.0e-12"
             )
-        out.append((idx, *np.linalg.eigh(blocks)))
+        out.append((idx, *np.linalg.eigh(h)))
     return out
 
 
@@ -121,25 +142,31 @@ def _phases(scale: complex | np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_in_sectors(op: np.ndarray, sector_list: list[SectorBasis], scale: complex) -> np.ndarray:
-    """Exponential ``exp(scale * op)`` of a sector-block-diagonal operator,
-    ``V exp(scale w) V^dag`` in each sector (see ``sector_spectra``)."""
-    out = np.zeros(op.shape, dtype=complex)
-    for idx, w, v in sector_spectra(op, sector_list):
+def exp_in_sectors(blocks: Blocks, scale: complex, out: np.ndarray) -> np.ndarray:
+    """Write ``exp(scale * h) = V exp(scale w) V^dag`` of every sector block
+    (see ``sector_spectra``) into the zero matrix ``out`` and return it."""
+    for idx, w, v in sector_spectra(blocks):
         # einsum, not a stacked matmul: on an Intel Xeon with AVX-512 the
         # stacked complex matmul (OpenBLAS small-matrix kernels) left later
         # float formatting in the process ~40% slower, and with it `tc4 build`.
-        blocks = np.einsum("kij,kj,klj->kil", v, _phases(scale, w), v.conj())
-        out[idx[:, :, None], idx[:, None, :]] = blocks
+        u = np.einsum("kij,kj,klj->kil", v, _phases(scale, w), v.conj())
+        out[idx[:, :, None], idx[:, None, :]] = u
     return out
 
 
-def evolve_in_sectors(
-    op: np.ndarray, sector_list: list[SectorBasis], scales: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
-    """``exp(s * op) @ psi`` for every ``s`` in the 1-D array ``scales``,
-    without forming an exponential: each sector is diagonalized once and
-    ``V exp(s w) V^dag psi`` evaluated for all ``s`` together.
+def exp_operator(scale: complex, plus: np.ndarray, weights: np.ndarray, space: FockSpace, *coeffs):
+    """Dense ``exp(scale * G)`` for the generator of ``sector_blocks(plus,
+    weights, space, *coeffs)``.  The output is allocated before the sectors
+    are partitioned, so a size beyond memory fails at once."""
+    out = np.zeros((len(weights) * space.cutoff,) * 2, dtype=complex)
+    return exp_in_sectors(sector_blocks(plus, weights, space, *coeffs), scale, out)
+
+
+def evolve_in_sectors(blocks: Blocks, scales: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``exp(s * G) @ psi`` for the generator ``G`` of the sector ``blocks``
+    and every ``s`` in the 1-D array ``scales``, without forming an
+    exponential: each sector is diagonalized once and ``V exp(s w) V^dag
+    psi`` evaluated for all ``s`` together.
 
     ``psi`` is one vector or a matrix of column vectors; the result has a
     leading axis over ``scales`` and then the shape of ``psi``.
@@ -147,7 +174,7 @@ def evolve_in_sectors(
     scales = np.asarray(scales)
     cols = psi.reshape(len(psi), -1)
     out = np.zeros((len(scales), *cols.shape), dtype=complex)
-    for idx, w, v in sector_spectra(op, sector_list):
+    for idx, w, v in sector_spectra(blocks):
         coeffs = np.einsum("kji,kjc->kic", v.conj(), cols[idx])
         phases = _phases(scales[:, None, None], w[None])
         out[:, idx] = np.einsum("kij,tkj,kjc->tkic", v, phases, coeffs)
@@ -156,17 +183,19 @@ def evolve_in_sectors(
 
 def interaction_evolution(t: float, g: float, reg: AtomRegister, space: FockSpace) -> np.ndarray:
     """Reference ``exp(-i t g (S+ x a + S- x a_dag))`` via sectors."""
-    return exp_in_sectors(interaction(reg, space), sectors(reg, space), -1j * t * g)
+    return exp_operator(-1j * t * g, collective(reg).plus, twice_s3(reg), space)
 
 
 def evolution(t: float, p: ModelParams) -> np.ndarray:
     """Reference propagator ``exp(-i t H)`` for any detuning, exponentiated
     per excitation sector."""
-    return exp_in_sectors(hamiltonian(p), sectors(p.register, p.space), -1j * t)
+    plus, weights = collective(p.register).plus, twice_s3(p.register)
+    return exp_operator(-1j * t, plus, weights, p.space, p.omega, p.delta, p.g)
 
 
 def evolution_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarray:
     """Reference states ``exp(-i t H) psi``, one row per time of the 1-D
-    array ``times``: the Hamiltonian is built and diagonalized once."""
-    times = np.asarray(times, dtype=float)
-    return evolve_in_sectors(hamiltonian(p), sectors(p.register, p.space), -1j * times, psi)
+    array ``times``: each sector block is assembled and diagonalized once."""
+    plus, weights = collective(p.register).plus, twice_s3(p.register)
+    blocks = sector_blocks(plus, weights, p.space, p.omega, p.delta, p.g)
+    return evolve_in_sectors(blocks, -1j * np.asarray(times, dtype=float), psi)

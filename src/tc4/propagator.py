@@ -31,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .model import BLOCK_LAYOUT, ModelParams, interaction, multiplet_interaction, transform_t
-from .oracle import (
-    evolve_in_sectors,
-    exp_in_sectors,
-    interaction_evolution,
-    sector_partition,
-    sectors,
-)
-from .spins import twice_s3
+from .model import BLOCK_LAYOUT, ModelParams, transform_t
+from .oracle import evolve_in_sectors, exp_operator, interaction_evolution, sector_blocks
+from .spins import collective, spin_matrices, twice_s3
 
 __all__ = [
     "SpectralParams",
@@ -270,9 +264,9 @@ def exp_spin2_block(t: float, g: float, space: FockSpace, printed: bool = False)
     return _spin2_action(np.array([float(t)]), g, ident, printed)[0].reshape(dim, dim)
 
 
-def _spin1_generator(space: FockSpace) -> tuple[np.ndarray, list]:
-    """The spin-1 coupling and its excitation sectors."""
-    return multiplet_interaction(2, space), sector_partition(np.array([2, 0, -2]), space)
+def _spin1_generator() -> tuple[np.ndarray, np.ndarray]:
+    """Raising matrix and doubled weights of the spin-1 multiplet."""
+    return spin_matrices(2)[0], np.array([2, 0, -2])
 
 
 def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
@@ -282,7 +276,7 @@ def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
     eigendecomposition is both simpler and tighter than transcribing
     another amplitude table.
     """
-    return exp_in_sectors(*_spin1_generator(space), -1j * t * g)
+    return exp_operator(-1j * t * g, *_spin1_generator(), space)
 
 
 def _rotate(t_mat: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -319,7 +313,7 @@ def interaction_states(
             out[sl] = _spin2_action(times, g, core[sl]).swapaxes(0, 1)
     spin1 = [slice(b.start, b.stop) for b in BLOCK_LAYOUT if b.kind == "spin1"]
     cols = np.stack([core[sl].reshape(3 * m, k) for sl in spin1], axis=1)
-    moved = evolve_in_sectors(*_spin1_generator(space), -1j * g * times, cols)
+    moved = evolve_in_sectors(sector_blocks(*_spin1_generator(), space), -1j * g * times, cols)
     for j, sl in enumerate(spin1):
         out[sl] = moved[:, :, j].reshape(len(times), 3, m, k).swapaxes(0, 1)
     return _rotate(t_mat, out).swapaxes(0, 1).reshape(len(times), *psi.shape)
@@ -375,8 +369,6 @@ def full_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarra
     if p.atoms == 4:
         inter = interaction_states(times, p.g, p.space, psi)
     else:
-        scales = -1j * p.g * times
-        inter = evolve_in_sectors(
-            interaction(p.register, p.space), sectors(p.register, p.space), scales, psi
-        )
+        blocks = sector_blocks(collective(p.register).plus, twice_s3(p.register), p.space)
+        inter = evolve_in_sectors(blocks, -1j * p.g * times, psi)
     return _free_phases(times[:, None], p) * inter

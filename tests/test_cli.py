@@ -332,3 +332,41 @@ def test_verify_rejects_bad_tolerance_override(capsys, value):
         main(["verify", "--cutoff", "16", "--samples", "1", f"--tol-override={value}"])
     assert err.value.code == 2
     assert "argument --tol-override:" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--cutoff", "16", "--samples", "1", "--seed", "-1"])
+    assert err.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf", "nan+1j", "1e200"])
+def test_evolve_rejects_non_finite_coherent_amplitude(tmp_path, capsys, amplitude):
+    out = tmp_path / "traj.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--cutoff", "8", "--state", f"coherent:{amplitude}", "--out", str(out)])
+    assert err.value.code == 2
+    assert "bad --state: coherent amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--method", "closed"],
+        ["build", "--method", "oracle"],
+        ["build", "--method", "oracle", "--atoms", "2", "--delta", "0.5"],
+        ["verify"],
+    ],
+)
+def test_cutoff_beyond_memory_exits_2(tmp_path, capsys, argv):
+    # The dense output is the first large allocation on every route, so the
+    # refusal comes at once.  `evolve` is left out: it allocates gigabytes of
+    # states before it reaches an impossible size.
+    out = [] if argv == ["verify"] else ["--out", str(tmp_path / "op.txt")]
+    assert main([*argv, "--cutoff", "10000000", *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
+    assert not (tmp_path / "op.txt").exists()

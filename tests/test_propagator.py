@@ -10,9 +10,8 @@ from tc4.model import (
     excitation_operator,
     hamiltonian,
     interaction,
-    multiplet_interaction,
 )
-from tc4.oracle import evolution, exp_in_sectors, interaction_evolution, sector_partition
+from tc4.oracle import evolution, exp_operator, interaction_evolution, sector_partition
 from tc4.propagator import (
     _GRID,
     exp_spin1_block,
@@ -22,7 +21,7 @@ from tc4.propagator import (
     spectral_params,
     spin2_amplitudes,
 )
-from tc4.spins import AtomRegister
+from tc4.spins import AtomRegister, spin_matrices
 
 SPACE = FockSpace(24)
 REG4 = AtomRegister(4)
@@ -136,12 +135,11 @@ def test_spin2_block_matches_term_by_term_assembly():
 
 
 def test_spin2_block_matches_sector_oracle():
-    gen = multiplet_interaction(4, SPACE)
-    secs = sector_partition(np.arange(4, -5, -2), SPACE)
+    plus = spin_matrices(4)[0]
     band = safe_indices(SPACE, 5)
     for t, g in seeded_draws(5):
         closed = exp_spin2_block(t, g, SPACE)
-        ref = exp_in_sectors(gen, secs, -1j * t * g)
+        ref = exp_operator(-1j * t * g, plus, np.arange(4, -5, -2), SPACE)
         assert op_norm_diff(closed, ref, band) < 1e-12
 
 

@@ -66,3 +66,23 @@ def test_sized_layers_bind_their_arguments():
     # Three top-level builders on 16 levels and one on the two-atom register.
     useful = 3 * (tracing.sector_dims(16, 8) ** 2).sum() + (tracing.sector_dims(4, 8) ** 2).sum()
     assert summary["propagator.useful_entry_ratio"] == useful / (3 * 128**2 + 32**2)
+
+
+def test_oracle_forms_no_dense_generator():
+    # The oracle assembles its sector blocks from the ladder weights; a dense
+    # Hamiltonian or interaction on its hot path would show up as calls here.
+    tracing, modules = load_tracing()
+    space = FockSpace(8)
+    p = ModelParams(omega=1.0, delta=1.3, g=0.9, atoms=4, space=space)
+    init = product_state(3, coherent_state(0.5, space), AtomRegister(4), space)
+    with tracing.Tracer(modules) as tracer:
+        modules["oracle"].evolution(0.5, p)
+        modules["dynamics"].trajectory(p, init, np.array([0.0, 0.5]), method="oracle")
+        modules["oracle"].interaction_evolution(0.5, 1.0, AtomRegister(3), space)
+    summary = tracing.summarize(tracer.spans)
+    assert summary["oracle.evolution.calls"] == 1
+    assert summary["dynamics.trajectory.calls"] == 1
+    assert summary["oracle.interaction_evolution.calls"] == 1
+    assert summary["oracle.exp_in_sectors.calls"] == 2
+    assert summary["model.hamiltonian.calls"] == 0
+    assert summary["model.interaction.calls"] == 0
