@@ -147,8 +147,8 @@ def test_two_dim_sector_rotation():
 
 def test_sector_exponential_matches_dense():
     p = ModelParams(omega=1.0, delta=0.8, g=0.5, atoms=3, space=SPACE)
-    reg = AtomRegister(3)
-    by_sector = exp_operator(-0.9j, collective(reg).plus, twice_s3(reg), SPACE, 1.0, 0.8, 0.5)
+    plus, weights = collective(p.register).plus, twice_s3(p.register)
+    by_sector = exp_operator(-0.9j, plus, weights, SPACE, p.omega, p.delta, p.g)
     dense = expm_hermitian(hamiltonian(p), -0.9j)
     band = safe_indices(SPACE, 8)
     assert op_norm_diff(by_sector, dense, band) < 1e-10
