@@ -1,9 +1,9 @@
 """Four-atom Tavis-Cummings evolution in closed form, with an independent
 sector-exact oracle and cavity-QED observables.
 
-The spin-2 closed form, the only block with a hand-written formula, is
-independent of the oracle; the spin-1 blocks reuse the oracle's sector
-eigensystems.  Every propagator the package emits can be cross-checked
+The closed form (spin-1 and spin-2 blocks alike) shares no code with the
+oracle and covers four resonant atoms; the oracle takes any register and
+detuning.  Every propagator the package emits can be cross-checked
 between the two routes on the guard band of the photon truncation.  The
 package namespace holds what a typical run needs; import everything else
 from its module.

@@ -99,13 +99,11 @@ def _common_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _run_config(parser: argparse.ArgumentParser, args: argparse.Namespace, t: float) -> RunConfig:
     delta = args.omega if args.delta is None else args.delta
-    if args.method in ("closed", "both"):
-        if args.atoms != 4:
-            parser.error("method=closed needs the four-atom register; use --method oracle")
-        if delta != args.omega:
-            parser.error(
-                "method=closed needs resonance (delta equal to omega); use --method oracle"
-            )
+    if args.method in ("closed", "both") and (args.atoms != 4 or delta != args.omega):
+        parser.error(
+            "method=closed needs four atoms at resonance (delta equal to omega); "
+            "use --method oracle"
+        )
     try:
         cfg = RunConfig(
             atoms=args.atoms,
@@ -232,7 +230,8 @@ def _parse_field(
                     f"amplitude file must have {space.cutoff} rows of 're im', "
                     f"got shape {table.shape}"
                 )
-            return table[:, 0] + 1j * table[:, 1]
+            # A view, not re + 1j * im: 1j * inf would put a nan in the real part.
+            return np.ascontiguousarray(table).view(complex)[:, 0]
     except (ValueError, OSError) as err:
         parser.error(f"bad --state: {err}")
     parser.error("state must be vacuum, coherent:A, basis:K, or file:PATH")
@@ -250,7 +249,10 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     reg = AtomRegister(cfg.atoms)
     field = _parse_field(parser, args.state, cfg.space)
     index = _parse_atomic(parser, args.atomic, reg)
-    initial = product_state(index, field, reg, cfg.space)
+    try:
+        initial = product_state(index, field, reg, cfg.space)
+    except ValueError as err:
+        parser.error(f"bad --state: {err}")
     cols = min(args.photon_cols, cfg.cutoff)
 
     def table(method: str) -> np.ndarray:

@@ -103,7 +103,8 @@ def coherent_state(alpha: complex, space: FockSpace) -> np.ndarray:
 def product_state(
     atomic_index: int, field_amps: np.ndarray, reg: AtomRegister, space: FockSpace
 ) -> QuantumState:
-    """Register basis state times an arbitrary normalized field vector."""
+    """Register basis state times an arbitrary field vector, normalized here;
+    a field vector that is not finite or has zero norm is refused."""
     if not 0 <= atomic_index < reg.levels:
         raise ValueError(f"atomic index {atomic_index} outside register of size {reg.n}")
     field_amps = np.asarray(field_amps, dtype=complex)
@@ -111,9 +112,12 @@ def product_state(
         raise ValueError(
             f"field vector length {len(field_amps)} does not match cutoff {space.cutoff}"
         )
+    norm = float(np.linalg.norm(field_amps))
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"field vector must be finite with a nonzero norm, got norm {norm!r}")
     amps = np.zeros(reg.levels * space.cutoff, dtype=complex)
     start = atomic_index * space.cutoff
-    amps[start : start + space.cutoff] = field_amps / np.linalg.norm(field_amps)
+    amps[start : start + space.cutoff] = field_amps / norm
     state = QuantumState(amplitudes=amps, levels=reg.levels)
     if abs(np.linalg.norm(state.amplitudes) - 1.0) > 1e-9:
         raise ValueError("prepared state failed to normalize to 1e-9")
@@ -128,12 +132,12 @@ def trajectory(
 ) -> Trajectory:
     """Evolve an initial state over a time grid and record observables.
 
-    ``method="closed"`` propagates the state through the closed form
-    (resonance only), ``"oracle"`` through the sector eigensystems of the
-    Hamiltonian (any detuning).  Either way the state at every time of the
-    grid, in any order or spacing, is evaluated directly from the initial
-    one; no propagator is formed.  A state whose norm strays from one by
-    more than 1e-6 is refused, as ``QuantumState`` refuses it.
+    ``method="closed"`` propagates the state through the closed form (four
+    atoms at resonance only), ``"oracle"`` through the sector eigensystems
+    of the Hamiltonian (any register and detuning).  Either way the state
+    at every time of the grid, in any order or spacing, is evaluated
+    directly from the initial one; no propagator is formed.  A state whose
+    norm strays from one by more than 1e-6 is refused, as in ``QuantumState``.
     """
     times = np.asarray(times, dtype=float)
     if method == "closed":

@@ -7,8 +7,8 @@ weights, so no dense generator is formed; the leak check runs on the
 register's raising matrix.  Exponentiating each block by dense
 eigendecomposition gives a reference propagator whose only approximation is
 the photon cutoff; the same eigensystems propagate a state over a whole
-time grid without forming any propagator.  Nothing here shares code with
-the closed-form amplitudes; that independence is the point.
+time grid without forming any propagator.  The closed form and this share
+no code in either direction; that independence is the point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "sector_spectra",
     "exp_in_sectors",
     "exp_operator",
-    "evolve_in_sectors",
     "interaction_evolution",
     "evolution",
     "evolution_states",
@@ -162,25 +161,6 @@ def exp_operator(scale: complex, plus: np.ndarray, weights: np.ndarray, space: F
     return exp_in_sectors(sector_blocks(plus, weights, space, *coeffs), scale, out)
 
 
-def evolve_in_sectors(blocks: Blocks, scales: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``exp(s * G) @ psi`` for the generator ``G`` of the sector ``blocks``
-    and every ``s`` in the 1-D array ``scales``, without forming an
-    exponential: each sector is diagonalized once and ``V exp(s w) V^dag
-    psi`` evaluated for all ``s`` together.
-
-    ``psi`` is one vector or a matrix of column vectors; the result has a
-    leading axis over ``scales`` and then the shape of ``psi``.
-    """
-    scales = np.asarray(scales)
-    cols = psi.reshape(len(psi), -1)
-    out = np.zeros((len(scales), *cols.shape), dtype=complex)
-    for idx, w, v in sector_spectra(blocks):
-        coeffs = np.einsum("kji,kjc->kic", v.conj(), cols[idx])
-        phases = _phases(scales[:, None, None], w[None])
-        out[:, idx] = np.einsum("kij,tkj,kjc->tkic", v, phases, coeffs)
-    return out.reshape(len(scales), *psi.shape)
-
-
 def interaction_evolution(t: float, g: float, reg: AtomRegister, space: FockSpace) -> np.ndarray:
     """Reference ``exp(-i t g (S+ x a + S- x a_dag))`` via sectors."""
     return exp_operator(-1j * t * g, collective(reg).plus, twice_s3(reg), space)
@@ -195,7 +175,15 @@ def evolution(t: float, p: ModelParams) -> np.ndarray:
 
 def evolution_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarray:
     """Reference states ``exp(-i t H) psi``, one row per time of the 1-D
-    array ``times``: each sector block is assembled and diagonalized once."""
+    array ``times``: each sector block is assembled and diagonalized once
+    and ``V exp(-i t w) V^dag psi`` evaluated for all times together."""
     plus, weights = collective(p.register).plus, twice_s3(p.register)
     blocks = sector_blocks(plus, weights, p.space, p.omega, p.delta, p.g)
-    return evolve_in_sectors(blocks, -1j * np.asarray(times, dtype=float), psi)
+    scales = -1j * np.asarray(times, dtype=float)
+    cols = psi.reshape(len(psi), -1)
+    out = np.zeros((len(scales), *cols.shape), dtype=complex)
+    for idx, w, v in sector_spectra(blocks):
+        coeffs = np.einsum("kji,kjc->kic", v.conj(), cols[idx])
+        phases = _phases(scales[:, None, None], w[None])
+        out[:, idx] = np.einsum("kij,tkj,kjc->tkic", v, phases, coeffs)
+    return out.reshape(len(scales), *psi.shape)

@@ -3,19 +3,19 @@
 At exact resonance the propagator factors into a free part, diagonal in
 the composite basis, and an interaction part ``exp(-i t g A)``.  After the
 constant basis change of ``model.transform_t`` the interaction is block
-diagonal: the scalar blocks exponentiate to one, the spin-1 blocks are
-small enough to exponentiate per excitation sector, and the spin-2 block
-has a genuine closed form, written as a five-by-five grid of terms
-"amplitude function of the shifted photon number, times a ladder power".
+diagonal: the scalar blocks exponentiate to one, and each spin block has a
+closed form, written as a grid of terms "amplitude function of the shifted
+photon number, times a ladder power" (five by five for spin 2, three by
+three for spin 1).  Nothing is borrowed from the sector oracle.
 
 Each amplitude is built from the spectral data of one excitation sector:
-two squared frequencies (the nonzero sector eigenvalues come in opposite
-pairs) and weight coefficients.  Amplitudes are evaluated on whole arrays
-of times and arguments, and the grid of terms is applied to vectors, so a
-trajectory (``full_states``) propagates its state over every time at once
-without forming a propagator; the operator (``full_propagator``) is the
-same action applied to the identity, so no dense change of basis is
-ever formed.
+for spin 2 two squared frequencies (the nonzero sector eigenvalues come in
+opposite pairs) and weight coefficients, for spin 1 one frequency.
+Amplitudes are evaluated on whole arrays of times and arguments, and the
+grid of terms is applied to vectors, so a trajectory (``full_states``)
+propagates its state over every time at once without forming a
+propagator; the operator (``full_propagator``) is the same action applied
+to the identity, so no dense change of basis is ever formed.
 
 Two entries of the published amplitude table this reproduces are
 misprinted; see CORRECTIONS.md at the repository root.  The corrected
@@ -32,8 +32,7 @@ import numpy as np
 
 from .fock import FockSpace
 from .model import BLOCK_LAYOUT, ModelParams, transform_t
-from .oracle import evolve_in_sectors, exp_operator, interaction_evolution, sector_blocks
-from .spins import collective, spin_matrices, twice_s3
+from .spins import twice_s3
 
 __all__ = [
     "SpectralParams",
@@ -191,10 +190,38 @@ def spin2_amplitudes(
             hop3=(sp - sm) / rd,
             hop4=4.0 * (dp - dm) / rd,
         )
-    for name in amps.__dataclass_fields__:
-        if not np.isfinite(getattr(amps, name)).all():
+    _require_finite("spin-2", vars(amps), x)
+    return amps
+
+
+def _require_finite(label: str, amps: dict[str, np.ndarray], x: np.ndarray) -> None:
+    for name, value in amps.items():
+        if not np.isfinite(value).all():
             worst = float(np.max(np.abs(x)))
-            raise ValueError(f"spin-2 amplitude {name} is not finite at |t g| up to {worst!r}")
+            raise ValueError(f"{label} amplitude {name} is not finite at |t g| up to {worst!r}")
+
+
+def _spin1_amplitudes(t: np.ndarray, g: float, n: np.ndarray) -> dict[str, np.ndarray]:
+    """Spin-1 amplitudes at times ``t`` and integer arguments ``n``.  Sector
+    ``n`` (projections +1, 0, -1 with ``n``, ``n + 1``, ``n + 2`` photons) has
+    the spectrum ``{0, +-W}``, ``W^2 = 4 n + 6``, so by Cayley-Hamilton
+    ``exp(-i x B) = 1 - i sin(x W) / W B + (cos(x W) - 1) / W^2 B^2`` at ``x = t g``.
+    The sector with ``W^2 = -2`` has zero ladder weight and is held at
+    ``t = 0``.  A non-finite amplitude raises ``ValueError``."""
+    wsq = 4.0 * np.asarray(n) + 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as in spin 2
+        x = np.multiply(t, g)
+        w = np.sqrt(np.abs(wsq))
+        xw = np.where(wsq > 0.0, x, 0.0) * w
+        hop2 = (np.cos(xw) - 1.0) / wsq
+        amps = {
+            "stay_p": 1.0 + 2.0 * (n + 1) * hop2,
+            "stay_0": np.cos(xw),
+            "stay_m": 1.0 + 2.0 * (n + 2) * hop2,
+            "hop1": np.sin(xw) / w,
+            "hop2": hop2,
+        }
+    _require_finite("spin-1", amps, x)
     return amps
 
 
@@ -232,51 +259,58 @@ _GRID = (
 )
 
 
-def _spin2_action(
-    times: np.ndarray, g: float, vecs: np.ndarray, printed: bool = False
-) -> np.ndarray:
-    """``exp(-i t g B) vecs`` for every time of the 1-D array ``times``.
+# The spin-1 block exponential, laid out as _GRID; B has the ladder weights
+# sqrt(2), and row r reads sector n at photon number n + r, so its shift is -r.
+_GRID1 = (
+    (0, 0, "stay_p", 0, 0, 1.0),
+    (1, 1, "stay_0", -1, 0, 1.0),
+    (2, 2, "stay_m", -2, 0, 1.0),
+    (0, 2, "hop2", 0, 2, 2.0),
+    (2, 0, "hop2", -2, -2, 2.0),
+    (0, 1, "hop1", 0, 1, -1j * np.sqrt(2.0)),
+    (1, 0, "hop1", -1, -1, -1j * np.sqrt(2.0)),
+    (1, 2, "hop1", -1, 1, -1j * np.sqrt(2.0)),
+    (2, 1, "hop1", -2, -1, -1j * np.sqrt(2.0)),
+)
 
-    ``vecs`` has shape ``(5, cutoff, k)``: projection level, photon number,
-    column.  The result adds a leading time axis.  Each grid term is applied
-    as a ladder shift of the photon axis, ladder first and the amplitude at
+
+def _ladder_action(grid: tuple, amps: dict[str, np.ndarray], vecs: np.ndarray) -> np.ndarray:
+    """The block exponential ``grid`` with amplitudes ``amps`` (arguments -2
+    to cutoff + 1 on the last axis, after any time axes, which lead the
+    result) applied to ``vecs`` of shape ``(levels, cutoff, k)``.  Each term
+    is a ladder shift of the photon axis, ladder first and the amplitude at
     the photon number after the ladder acted, plus the shift; only rows
-    whose ladder coefficient is nonzero are read, and the amplitudes come
-    from one ``spin2_amplitudes`` call over all times and arguments.
-    """
+    whose ladder coefficient is nonzero are read."""
     m_dim = vecs.shape[1]
-    amps = spin2_amplitudes(times[:, None], g, np.arange(-2, m_dim + 2), printed)
-    out = np.zeros((len(times), *vecs.shape), dtype=complex)
-    for row, col, name, shift, step, coef in _GRID:
+    out = np.zeros(amps[grid[0][2]].shape[:-1] + vecs.shape, dtype=complex)
+    for row, col, name, shift, step, coef in grid:
         power = abs(step)
         rows = np.arange(max(0, -step), m_dim - max(0, step))
         top = rows + max(step, 0)  # the larger photon number of each transition
         ladder = np.sqrt(np.prod([top - k for k in range(power)], axis=0))
-        weight = coef * getattr(amps, name)[:, rows + shift + 2] * ladder
-        out[:, row, rows] += weight[:, :, None] * vecs[col, rows + step]
+        weight = coef * amps[name][..., rows + shift + 2] * ladder
+        out[..., row, rows, :] += weight[..., None] * vecs[col, rows + step]
     return out
+
+
+def _exp_block(grid: tuple, amplitudes, space: FockSpace) -> np.ndarray:
+    """The block exponential of ``grid``, amplitudes ``amplitudes(n)``, as a matrix;
+    the identity is allocated first, so a size beyond memory fails at once."""
+    levels = len({term[0] for term in grid})
+    dim = levels * space.cutoff
+    ident = np.eye(dim, dtype=complex).reshape(levels, space.cutoff, dim)
+    amps = amplitudes(np.arange(-2, space.cutoff + 2))
+    return _ladder_action(grid, amps, ident).reshape(dim, dim)
 
 
 def exp_spin2_block(t: float, g: float, space: FockSpace, printed: bool = False) -> np.ndarray:
     """Closed-form ``exp(-i t g B)`` for the spin-2 coupling block."""
-    dim = 5 * space.cutoff
-    ident = np.eye(dim, dtype=complex).reshape(5, space.cutoff, dim)
-    return _spin2_action(np.array([float(t)]), g, ident, printed)[0].reshape(dim, dim)
-
-
-def _spin1_generator() -> tuple[np.ndarray, np.ndarray]:
-    """Raising matrix and doubled weights of the spin-1 multiplet."""
-    return spin_matrices(2)[0], np.array([2, 0, -2])
+    return _exp_block(_GRID, lambda n: vars(spin2_amplitudes(float(t), g, n, printed)), space)
 
 
 def exp_spin1_block(t: float, g: float, space: FockSpace) -> np.ndarray:
-    """``exp(-i t g B)`` for the spin-1 coupling block.
-
-    Sectors here are at most three-dimensional, so exact per-sector
-    eigendecomposition is both simpler and tighter than transcribing
-    another amplitude table.
-    """
-    return exp_operator(-1j * t * g, *_spin1_generator(), space)
+    """Closed-form ``exp(-i t g B)`` for the spin-1 coupling block."""
+    return _exp_block(_GRID1, lambda n: _spin1_amplitudes(float(t), g, n), space)
 
 
 def _rotate(t_mat: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -296,26 +330,25 @@ def interaction_states(
     ``psi`` is one vector or a matrix of column vectors; the result has a
     leading axis over ``times`` and then the shape of ``psi``.  The columns
     are rotated into the block basis once, on the register axis only.  The
-    zero blocks keep their components, the spin-1 blocks evolve from one
-    eigendecomposition per sector, the spin-2 block through its closed form
-    applied to the columns, and the result is rotated back.
+    zero blocks keep their components, each spin block evolves through its
+    closed form applied to the columns (amplitudes evaluated once per kind),
+    and the result is rotated back.
     """
     m = space.cutoff
     t_mat = transform_t()
     core = _rotate(t_mat.T, np.asarray(psi, dtype=complex).reshape(16, m, -1))
-    k = core.shape[2]
-    out = np.empty((16, len(times), m, k), dtype=complex)
+    out = np.empty((16, len(times), m, core.shape[2]), dtype=complex)
+    args = np.arange(-2, m + 2)
+    spin = {
+        "spin1": (_GRID1, _spin1_amplitudes(times[:, None], g, args)),
+        "spin2": (_GRID, vars(spin2_amplitudes(times[:, None], g, args))),
+    }
     for blk in BLOCK_LAYOUT:
         sl = slice(blk.start, blk.stop)
         if blk.kind == "zero":
             out[sl] = core[sl, None]
-        elif blk.kind == "spin2":
-            out[sl] = _spin2_action(times, g, core[sl]).swapaxes(0, 1)
-    spin1 = [slice(b.start, b.stop) for b in BLOCK_LAYOUT if b.kind == "spin1"]
-    cols = np.stack([core[sl].reshape(3 * m, k) for sl in spin1], axis=1)
-    moved = evolve_in_sectors(sector_blocks(*_spin1_generator(), space), -1j * g * times, cols)
-    for j, sl in enumerate(spin1):
-        out[sl] = moved[:, :, j].reshape(len(times), 3, m, k).swapaxes(0, 1)
+        else:
+            out[sl] = _ladder_action(*spin[blk.kind], core[sl]).swapaxes(0, 1)
     return _rotate(t_mat, out).swapaxes(0, 1).reshape(len(times), *psi.shape)
 
 
@@ -328,47 +361,42 @@ def interaction_propagator(t: float, g: float, space: FockSpace) -> np.ndarray:
 
 def _free_phases(t: float | np.ndarray, p: ModelParams) -> np.ndarray:
     """Diagonal of the free propagator ``exp(-i t omega (S3 x 1 + 1 x N))``;
-    a column of times gives one row per time."""
+    a column of times gives one row per time.  A non-finite phase raises."""
     halves = np.repeat(twice_s3(p.register), p.space.cutoff) / 2.0
     photons = np.tile(np.arange(p.space.cutoff), p.register.levels)
-    return np.exp(-1j * t * p.omega * (halves + photons))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * t * p.omega * (halves + photons))
+    if not np.isfinite(phases).all():
+        worst = float(np.max(np.abs(t)))
+        raise ValueError(f"free phase is not finite at omega {p.omega!r}, |t| up to {worst!r}")
+    return phases
 
 
 def _require_resonance(p: ModelParams) -> None:
-    if not p.resonant:
+    if p.atoms != 4 or not p.resonant:
         raise ValueError(
-            "closed-form factorization requires resonance (delta == omega); "
-            "use oracle.evolution for detuned parameters"
+            "closed-form factorization requires four atoms at resonance "
+            "(delta == omega); use oracle.evolution for other registers or detuning"
         )
 
 
 def full_propagator(t: float, p: ModelParams) -> np.ndarray:
     """Resonant propagator ``exp(-i t H)`` as free part times interaction part.
 
-    The factorization holds only at exact resonance; off resonance the
-    request is refused and the caller should use ``oracle.evolution``,
-    which handles any detuning.  Registers smaller than four have no
-    hand-written block form and route the interaction part through the
-    sector oracle.
+    The factorization holds only at exact resonance and the block form only
+    for four atoms; other requests are refused and the caller should use
+    ``oracle.evolution``, which handles any register and detuning.
     """
     _require_resonance(p)
-    if p.atoms == 4:
-        inter = interaction_propagator(t, p.g, p.space)
-    else:
-        inter = interaction_evolution(t, p.g, p.register, p.space)
+    inter = interaction_propagator(t, p.g, p.space)  # first: a size beyond memory fails at once
     return _free_phases(t, p)[:, None] * inter
 
 
 def full_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarray:
     """Resonant states ``exp(-i t H) psi``, one row per time of the 1-D
     array ``times``, as free phases times the interaction part; no
-    propagator is formed.  Resonance and small registers are handled as in
-    ``full_propagator``."""
+    propagator is formed.  Requests are refused as in ``full_propagator``."""
     _require_resonance(p)
     times = np.asarray(times, dtype=float)
-    if p.atoms == 4:
-        inter = interaction_states(times, p.g, p.space, psi)
-    else:
-        blocks = sector_blocks(collective(p.register).plus, twice_s3(p.register), p.space)
-        inter = evolve_in_sectors(blocks, -1j * p.g * times, psi)
+    inter = interaction_states(times, p.g, p.space, psi)
     return _free_phases(times[:, None], p) * inter

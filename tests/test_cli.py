@@ -1,5 +1,12 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tc4.cli import _write_table, main
 from tc4.dynamics import coherent_state, product_state, trajectory
@@ -195,12 +202,43 @@ def test_long_times_agree_on_both_routes(tmp_path, capsys):
     assert max(diffs) < 1e-9
 
 
-@pytest.mark.parametrize("command", ["build", "evolve"])
-def test_non_finite_closed_form_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--t", "1e308"],
+        ["evolve", "--t", "1e308"],
+        # t omega overflows in the free phases, not in the amplitudes.
+        ["build", "--omega", "1e307", "--t", "100", "--g", "0.5"],
+    ],
+    ids=["build", "evolve", "build-free-phase"],
+)
+def test_non_finite_closed_form_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.txt"
-    assert main([command, "--cutoff", "8", "--t", "1e308", "--out", str(out)]) == 2
+    assert main([*argv, "--cutoff", "8", "--out", str(out)]) == 2
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+LOG_SCALE = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["build", "evolve"]), LOG_SCALE, LOG_SCALE, LOG_SCALE)
+def test_closed_form_is_finite_or_exits_2(command, t, omega, g):
+    # Any finite time, frequency and coupling: a file of finite numbers, or
+    # exit 2 naming the non-finite value; never a silent NaN.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.txt"
+        argv = [command, "--cutoff", "8", "--t", repr(t), "--omega", repr(omega), "--g", repr(g)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        if code == 2:
+            assert "not finite" in err.getvalue()
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert np.isfinite(np.loadtxt(out)).all()
 
 
 @pytest.mark.parametrize("command", ["build", "evolve"])
@@ -274,6 +312,20 @@ def test_evolve_state_file_roundtrip(tmp_path):
     assert code == 0
     table = read_table(out)
     assert table[0, 4] == 1.0  # all weight on two photons
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zeros", "nan", "inf"])
+def test_evolve_rejects_unusable_state_file(tmp_path, capsys, fill):
+    amp_file = tmp_path / "amps.txt"
+    np.savetxt(amp_file, np.full((8, 2), fill))
+    out = tmp_path / "traj.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--cutoff", "8", "--state", f"file:{amp_file}", "--out", str(out)])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert "bad --state: field vector must be finite with a nonzero norm" in lines[-1]
+    assert "Traceback" not in "".join(lines)
+    assert not out.exists()
 
 
 def test_verify_passes_at_small_size(capsys):

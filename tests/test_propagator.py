@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import tc4.oracle
+import tc4.propagator
+from tc4.dynamics import product_state, trajectory
 from tc4.fock import FockSpace, NumberFunction, number_fn_term, safe_indices
 from tc4.linalg import op_norm_diff
 from tc4.model import (
@@ -17,6 +20,7 @@ from tc4.propagator import (
     exp_spin1_block,
     exp_spin2_block,
     full_propagator,
+    full_states,
     interaction_propagator,
     spectral_params,
     spin2_amplitudes,
@@ -135,12 +139,17 @@ def test_spin2_block_matches_term_by_term_assembly():
 
 
 def test_spin2_block_matches_sector_oracle():
-    plus = spin_matrices(4)[0]
-    band = safe_indices(SPACE, 5)
-    for t, g in seeded_draws(5):
-        closed = exp_spin2_block(t, g, SPACE)
-        ref = exp_operator(-1j * t * g, plus, np.arange(4, -5, -2), SPACE)
-        assert op_norm_diff(closed, ref, band) < 1e-12
+    # Both spin blocks: the oracle exponentiates each sector of the
+    # irreducible coupling, the closed forms share nothing with it.
+    blocks = ((exp_spin2_block, 4), (exp_spin1_block, 2))
+    long_times = [(tg / g, g) for tg in (150.0, 1000.0) for g in (1.0, 0.6)]
+    for exp_block, two_j in blocks:
+        band = safe_indices(SPACE, two_j + 1)
+        weights = np.arange(two_j, -two_j - 1, -2)
+        for draws, tol in ((seeded_draws(5), 1e-12), (long_times, 1e-9)):
+            for t, g in draws:
+                ref = exp_operator(-1j * t * g, spin_matrices(two_j)[0], weights, SPACE)
+                assert op_norm_diff(exp_block(t, g, SPACE), ref, band) < tol, (two_j, t, g)
 
 
 def test_spin2_block_checkerboard_is_exact():
@@ -174,6 +183,24 @@ def test_spin2_bottom_state_is_frozen():
     col = col.copy()
     col[4 * 24] = 0.0
     assert np.abs(col).max() == 0.0
+
+
+def test_spin1_bottom_state_is_frozen():
+    # projection -1 with an empty cavity: the sector W^2 = -2 has no partner
+    u = exp_spin1_block(2.1, 1.4, SPACE)
+    col = u[:, 2 * 24].copy()
+    assert col[2 * 24] == 1.0
+    col[2 * 24] = 0.0
+    assert np.abs(col).max() == 0.0
+
+
+def test_closed_route_imports_nothing_from_the_oracle():
+    borrowed = [
+        name
+        for name, obj in vars(tc4.propagator).items()
+        if obj is tc4.oracle or getattr(obj, "__module__", None) == "tc4.oracle"
+    ]
+    assert not borrowed
 
 
 def test_spin1_block_basics():
@@ -237,12 +264,21 @@ def test_full_propagator_matches_oracle_at_resonance():
         assert op_norm_diff(full_propagator(t, p), evolution(t, p), band) < 1e-12
 
 
-def test_full_propagator_small_registers_route_through_sectors():
+def test_closed_route_refuses_small_registers():
+    # No hand-written block form below four atoms: the oracle is the route.
+    field = np.eye(SPACE.cutoff)[0]
     for atoms in (1, 2, 3):
         reg = AtomRegister(atoms)
-        band = safe_indices(SPACE, reg.levels)
         p = ModelParams(omega=1.0, delta=1.0, g=0.7, atoms=atoms, space=SPACE)
-        assert op_norm_diff(full_propagator(0.9, p), evolution(0.9, p), band) < 1e-12
+        init = product_state(0, field, reg, SPACE)
+        calls = (
+            lambda: full_propagator(0.9, p),
+            lambda: full_states(np.array([0.9]), p, init.amplitudes),
+            lambda: trajectory(p, init, np.array([0.9]), method="closed"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="oracle"):
+                call()
 
 
 def test_full_propagator_free_limit():
