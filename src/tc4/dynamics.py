@@ -104,17 +104,24 @@ def product_state(
     atomic_index: int, field_amps: np.ndarray, reg: AtomRegister, space: FockSpace
 ) -> QuantumState:
     """Register basis state times an arbitrary field vector, normalized here;
-    a field vector that is not finite or has zero norm is refused."""
+    a field vector that is not finite or has zero norm is refused.  The
+    vector is first divided by the largest power of two not above its
+    largest component, so its norm cannot overflow, and the exact scaling
+    leaves the normalized result as the unscaled division gives it."""
     if not 0 <= atomic_index < reg.levels:
         raise ValueError(f"atomic index {atomic_index} outside register of size {reg.n}")
-    field_amps = np.asarray(field_amps, dtype=complex)
+    field_amps = np.ascontiguousarray(field_amps, dtype=complex)
     if len(field_amps) != space.cutoff:
         raise ValueError(
             f"field vector length {len(field_amps)} does not match cutoff {space.cutoff}"
         )
+    peak = float(np.abs(field_amps.view(float)).max())
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(
+            f"field vector must be finite with a nonzero norm, got largest component {peak!r}"
+        )
+    field_amps = (field_amps.view(float) / math.ldexp(1.0, math.frexp(peak)[1] - 1)).view(complex)
     norm = float(np.linalg.norm(field_amps))
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise ValueError(f"field vector must be finite with a nonzero norm, got norm {norm!r}")
     amps = np.zeros(reg.levels * space.cutoff, dtype=complex)
     start = atomic_index * space.cutoff
     amps[start : start + space.cutoff] = field_amps / norm

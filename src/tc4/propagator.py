@@ -14,8 +14,12 @@ opposite pairs) and weight coefficients, for spin 1 one frequency.
 Amplitudes are evaluated on whole arrays of times and arguments, and the
 grid of terms is applied to vectors, so a trajectory (``full_states``)
 propagates its state over every time at once without forming a
-propagator; the operator (``full_propagator``) is the same action applied
-to the identity, so no dense change of basis is ever formed.
+propagator.  The operator (``full_propagator``) is assembled one
+excitation sector at a time, since the excitation number is conserved,
+truncation included: each term of the grids fills one entry of every
+sector's 16 x 16 core, the stacked cores are rotated with ``T``, and only
+the sector entries are written into the dense output.  No identity columns
+are propagated and no dense change of basis is formed.
 
 Two entries of the published amplitude table this reproduces are
 misprinted; see CORRECTIONS.md at the repository root.  The corrected
@@ -32,7 +36,7 @@ import numpy as np
 
 from .fock import FockSpace
 from .model import BLOCK_LAYOUT, ModelParams, transform_t
-from .spins import twice_s3
+from .spins import AtomRegister, twice_s3
 
 __all__ = [
     "SpectralParams",
@@ -274,33 +278,40 @@ _GRID1 = (
 )
 
 
-def _ladder_action(grid: tuple, amps: dict[str, np.ndarray], vecs: np.ndarray) -> np.ndarray:
-    """The block exponential ``grid`` with amplitudes ``amps`` (arguments -2
-    to cutoff + 1 on the last axis, after any time axes, which lead the
-    result) applied to ``vecs`` of shape ``(levels, cutoff, k)``.  Each term
-    is a ladder shift of the photon axis, ladder first and the amplitude at
-    the photon number after the ladder acted, plus the shift; only rows
-    whose ladder coefficient is nonzero are read."""
-    m_dim = vecs.shape[1]
-    out = np.zeros(amps[grid[0][2]].shape[:-1] + vecs.shape, dtype=complex)
+def _terms(grid: tuple, amps: dict[str, np.ndarray], m: int):
+    """The terms of the block exponential ``grid`` on photon numbers ``0 ..
+    m - 1``, with amplitudes ``amps`` at arguments -2 to ``m + 1`` on the last
+    axis (after any time axes).  Each term yields ``(row, col, n, step,
+    value)``: entry ``(row, n)``, ``(col, n + step)`` of the block is ``value``,
+    for every ``n`` at which both photon numbers are retained.  The ladder
+    acts first and the amplitude is read at the photon number after it acted,
+    plus the shift."""
     for row, col, name, shift, step, coef in grid:
-        power = abs(step)
-        rows = np.arange(max(0, -step), m_dim - max(0, step))
-        top = rows + max(step, 0)  # the larger photon number of each transition
-        ladder = np.sqrt(np.prod([top - k for k in range(power)], axis=0))
-        weight = coef * amps[name][..., rows + shift + 2] * ladder
-        out[..., row, rows, :] += weight[..., None] * vecs[col, rows + step]
+        n = np.arange(max(0, -step), m - max(0, step))
+        top = n + max(step, 0)  # the larger photon number of each transition
+        ladder = np.sqrt(np.prod([top - k for k in range(abs(step))], axis=0))
+        yield row, col, n, step, coef * amps[name][..., n + shift + 2] * ladder
+
+
+def _ladder_action(grid: tuple, amps: dict[str, np.ndarray], vecs: np.ndarray) -> np.ndarray:
+    """The block exponential ``grid`` with amplitudes ``amps`` (as in
+    ``_terms``; time axes lead the result) applied to ``vecs`` of shape
+    ``(levels, cutoff, k)``."""
+    out = np.zeros(amps[grid[0][2]].shape[:-1] + vecs.shape, dtype=complex)
+    for row, col, n, step, value in _terms(grid, amps, vecs.shape[1]):
+        out[..., row, n, :] += value[..., None] * vecs[col, n + step]
     return out
 
 
 def _exp_block(grid: tuple, amplitudes, space: FockSpace) -> np.ndarray:
-    """The block exponential of ``grid``, amplitudes ``amplitudes(n)``, as a matrix;
-    the identity is allocated first, so a size beyond memory fails at once."""
-    levels = len({term[0] for term in grid})
-    dim = levels * space.cutoff
-    ident = np.eye(dim, dtype=complex).reshape(levels, space.cutoff, dim)
-    amps = amplitudes(np.arange(-2, space.cutoff + 2))
-    return _ladder_action(grid, amps, ident).reshape(dim, dim)
+    """The block exponential of ``grid``, amplitudes ``amplitudes(n)``, as a
+    matrix, each term placed on its diagonal; the matrix is allocated first,
+    so a size beyond memory fails at once."""
+    levels, m = len({term[0] for term in grid}), space.cutoff
+    out = np.zeros((levels, m, levels, m), dtype=complex)
+    for row, col, n, step, value in _terms(grid, amplitudes(np.arange(-2, m + 2)), m):
+        out[row, n, col, n + step] = value
+    return out.reshape(levels * m, levels * m)
 
 
 def exp_spin2_block(t: float, g: float, space: FockSpace, printed: bool = False) -> np.ndarray:
@@ -319,6 +330,26 @@ def _rotate(t_mat: np.ndarray, core: np.ndarray) -> np.ndarray:
     float formatting; see ``oracle.exp_in_sectors``)."""
     flat = np.ascontiguousarray(core).view(float).reshape(len(core), -1)
     return (t_mat @ flat).view(complex).reshape(core.shape)
+
+
+def _sector_offsets(weights: np.ndarray) -> np.ndarray:
+    """Sector ``k`` holds register level ``b`` of doubled ``S3`` weight
+    ``weights[b]`` (at least -4) at photon number ``k - offset[b]``."""
+    return (np.asarray(weights) + 4) // 2
+
+
+def _sector_entries(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the ``m + 4`` excitation sectors of the four-atom
+    register on ``m`` photon numbers.  ``inside`` marks them on the grid
+    ``(b, k, c)`` of row level, sector and column level (a sector holds at
+    most one photon number per level, so at most 16 x 16 entries), and
+    ``flat`` holds their positions in the dense ``16 m x 16 m`` operator in
+    the same order, which is ascending."""
+    photons = np.arange(m + 4) - _sector_offsets(twice_s3(AtomRegister(4)))[:, None]
+    kept = (photons >= 0) & (photons < m)
+    inside = kept[:, :, None] & kept.T[None, :, :]
+    pos = np.arange(16)[:, None] * m + photons  # composite index of level b in sector k
+    return inside, (pos[:, :, None] * (16 * m) + pos.T[None, :, :])[inside]
 
 
 def interaction_states(
@@ -353,10 +384,38 @@ def interaction_states(
 
 
 def interaction_propagator(t: float, g: float, space: FockSpace) -> np.ndarray:
-    """Closed-form ``exp(-i t g A)`` for the four-atom interaction: the
-    state route ``interaction_states`` applied to the identity."""
-    ident = np.eye(16 * space.cutoff, dtype=complex)
-    return interaction_states(np.array([float(t)]), g, space, ident)[0]
+    """Closed-form ``exp(-i t g A)`` for the four-atom interaction, assembled
+    one excitation sector at a time.
+
+    ``T`` preserves the ``S3`` projection, so a block level sits in each
+    sector at the photon number of the register levels it mixes.  Every
+    grid term fills one entry of the block-basis sector cores ``(m + 4, 16,
+    16)`` for all sectors at once, the zero blocks put one on the diagonal,
+    and the stack is rotated as ``T core T^T`` in real products.  The dense
+    output is allocated first, so a size beyond memory fails at once, and
+    every entry outside the sectors is +0.0.
+    """
+    m = space.cutoff
+    out = np.zeros((16 * m, 16 * m), dtype=complex)
+    t_mat = transform_t()
+    weights = np.rint(twice_s3(AtomRegister(4)) @ t_mat**2).astype(int)  # of the block levels
+    offset = _sector_offsets(weights)
+    args = np.arange(-2, m + 2)
+    terms = {
+        "zero": [(0, 0, np.arange(m), 0, 1.0)],
+        "spin1": list(_terms(_GRID1, _spin1_amplitudes(float(t), g, args), m)),
+        "spin2": list(_terms(_GRID, vars(spin2_amplitudes(float(t), g, args)), m)),
+    }
+    core = np.zeros((m + 4, 16, 16), dtype=complex)
+    for blk in BLOCK_LAYOUT:
+        for row, col, n, _, value in terms[blk.kind]:
+            row, col = blk.start + row, blk.start + col
+            core[n + offset[row], row, col] = value
+    # T is real, so the real and imaginary parts rotate apart (see _rotate).
+    parts = t_mat @ np.stack((core.real, core.imag)) @ t_mat.T
+    inside, flat = _sector_entries(m)
+    out.view(float).reshape(-1, 2)[flat] = parts.transpose(0, 2, 1, 3)[:, inside].T
+    return out
 
 
 def _free_phases(t: float | np.ndarray, p: ModelParams) -> np.ndarray:
@@ -389,7 +448,11 @@ def full_propagator(t: float, p: ModelParams) -> np.ndarray:
     """
     _require_resonance(p)
     inter = interaction_propagator(t, p.g, p.space)  # first: a size beyond memory fails at once
-    return _free_phases(t, p)[:, None] * inter
+    # The free part is diagonal, so it scales only the sector entries; the
+    # zeros outside them stay +0.0.
+    flat = _sector_entries(p.space.cutoff)[1]
+    inter.reshape(-1)[flat] *= _free_phases(t, p)[flat // len(inter)]
+    return inter
 
 
 def full_states(times: np.ndarray, p: ModelParams, psi: np.ndarray) -> np.ndarray:

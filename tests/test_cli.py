@@ -314,6 +314,19 @@ def test_evolve_state_file_roundtrip(tmp_path):
     assert table[0, 4] == 1.0  # all weight on two photons
 
 
+def test_evolve_accepts_state_file_with_large_entries(tmp_path):
+    # Two rows "1e200 0": the plain norm overflows; the state is normalized.
+    amp_file = tmp_path / "amps.txt"
+    field = np.zeros((8, 2))
+    field[[1, 2], 0] = 1e200
+    np.savetxt(amp_file, field)
+    out = tmp_path / "traj.txt"
+    argv = ["evolve", "--cutoff", "8", "--t", "0", "--photon-cols", "4"]
+    assert main([*argv, "--state", f"file:{amp_file}", "--out", str(out)]) == 0
+    table = read_table(out)
+    np.testing.assert_allclose(table[0, 2:], [0.0, 0.5, 0.5, 0.0], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zeros", "nan", "inf"])
 def test_evolve_rejects_unusable_state_file(tmp_path, capsys, fill):
     amp_file = tmp_path / "amps.txt"

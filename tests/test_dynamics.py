@@ -49,6 +49,27 @@ def test_product_state_layout():
         product_state(0, np.ones(8), REG4, SPACE)
 
 
+def test_product_state_normalizes_large_entries():
+    # The norm of these overflows unless the vector is scaled first.
+    for peak in (1e200, 1.7976931348623157e308):
+        field = np.zeros(16, dtype=complex)
+        field[[0, 3]] = peak, -1j * peak
+        state = product_state(2, field, REG4, SPACE)
+        expected = np.zeros(16 * 16, dtype=complex)
+        expected[[32, 35]] = np.array([1.0, -1j]) / math.sqrt(2.0)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+def test_product_state_scaling_is_exact():
+    # Ordinary vectors normalize bit for bit as the plain division does.
+    rng = np.random.default_rng(5)
+    for exponent in (-150, -3, 0, 7, 150):
+        field = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 10.0**exponent
+        plain = field / np.linalg.norm(field)
+        got = product_state(0, field, REG4, SPACE).amplitudes[:16]
+        assert np.array_equal(got.view(np.uint64), plain.view(np.uint64))
+
+
 def test_state_validation():
     with pytest.raises(ValueError, match="not divisible"):
         QuantumState(amplitudes=np.ones(10) / math.sqrt(10), levels=4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tc4.model import (
     hamiltonian,
     interaction,
 )
-from tc4.oracle import evolution, exp_operator, interaction_evolution, sector_partition
+from tc4.oracle import evolution, exp_operator, interaction_evolution, sector_partition, sectors
 from tc4.propagator import (
     _GRID,
     exp_spin1_block,
@@ -22,6 +23,7 @@ from tc4.propagator import (
     full_propagator,
     full_states,
     interaction_propagator,
+    interaction_states,
     spectral_params,
     spin2_amplitudes,
 )
@@ -306,3 +308,60 @@ def test_full_propagator_matches_oracle_at_long_times(tg):
     for g in (1.0, 0.6):
         p = ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=SPACE)
         assert op_norm_diff(full_propagator(tg / g, p), evolution(tg / g, p), band) < 1e-9
+
+
+# (t, g) for the sector layout checks: the identity at t = 0, ordinary
+# draws, and t g = 150, where the amplitudes have wound many times.
+LAYOUT_DRAWS = [(0.0, 1.0), (0.7, 1.3), (2.9, 0.45), (4.1, 1.9), (150.0, 1.0), (250.0, 0.6)]
+
+
+def sector_mask(space):
+    """Entries of the dense operator that lie inside an excitation sector,
+    from the oracle's partition of the composite basis."""
+    inside = np.zeros((16 * space.cutoff,) * 2, dtype=bool)
+    for sec in sectors(REG4, space):
+        inside[np.ix_(sec.indices, sec.indices)] = True
+    return inside
+
+
+@pytest.mark.parametrize("cutoff", [8, 32])
+def test_sector_assembly_leaves_positive_zeros_outside_the_sectors(cutoff):
+    space = FockSpace(cutoff)
+    outside = ~sector_mask(space)
+    for t, g in LAYOUT_DRAWS:
+        p = ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=space)
+        for u in (interaction_propagator(t, g, space), full_propagator(t, p)):
+            bits = u.view(np.uint64).reshape(u.shape + (2,))[outside]
+            assert not bits.any(), (t, g)  # +0.0 in both parts, sign bit clear
+
+
+@pytest.mark.parametrize("cutoff", [8, 32])
+def test_sector_assembly_matches_the_state_route(cutoff):
+    # The state route applied to the identity places nothing by sector.
+    space = FockSpace(cutoff)
+    ident = np.eye(16 * cutoff, dtype=complex)
+    for t, g in LAYOUT_DRAWS:
+        p = ModelParams(omega=1.0, delta=1.0, g=g, atoms=4, space=space)
+        ref = full_states(np.array([t]), p, ident)[0]
+        assert np.abs(full_propagator(t, p) - ref).max() <= 1e-15, (t, g)
+
+
+def test_interaction_propagator_matches_the_state_route():
+    space = FockSpace(16)
+    ident = np.eye(16 * 16, dtype=complex)
+    for t, g in [*seeded_draws(4, seed=7), (150.0, 1.0)]:
+        ref = interaction_states(np.array([t]), g, space, ident)[0]
+        assert np.abs(interaction_propagator(t, g, space) - ref).max() <= 1e-15, (t, g)
+
+
+def test_full_propagator_allocates_little_beyond_its_output():
+    # The state route applied to identity columns peaks at 4x the output here.
+    p = ModelParams(omega=1.0, delta=1.0, g=0.9, atoms=4, space=FockSpace(32))
+    full_propagator(0.3, p)  # warm up imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        u = full_propagator(1.3, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * u.nbytes, peak / u.nbytes
